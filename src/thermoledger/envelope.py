@@ -32,6 +32,7 @@ from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
 from .canonical import canonical_json, require_keys, sha256
 from .errors import Error, InvalidKey
+from .keys import load_key, save_key_pair
 
 VERSION = 1
 _KEY_SIZE = 32
@@ -200,53 +201,12 @@ def _parse_envelope(envelope: bytes) -> dict:
 # --- key file storage -------------------------------------------------------
 
 def save_identity(path: str | Path, identity: Identity) -> None:
-    """Write the private identity file (0600) and its .pub companion."""
-    path = Path(path)
-    _write(path, {"kind": "encryption", "private_key": "0x" + identity.private_bytes().hex()}, private=True)
-    _write(
-        path.with_name(path.name + ".pub"),
-        {"kind": "encryption-public", "public_key": "0x" + identity.public_bytes.hex()},
-        private=False,
-    )
+    save_key_pair(path, "encryption", identity.private_bytes(), identity.public_bytes)
 
 
 def load_identity(path: str | Path) -> Identity:
-    obj = _read(path, "encryption", "private_key")
-    return Identity.from_private_bytes(_unhex(obj["private_key"]))
+    return Identity.from_private_bytes(load_key(path, "encryption"))
 
 
 def load_recipient_public(path: str | Path) -> bytes:
-    obj = _read(path, "encryption-public", "public_key")
-    return _unhex(obj["public_key"])
-
-
-def _write(path: Path, obj: dict, private: bool) -> None:
-    path.write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
-    if private:
-        os.chmod(path, 0o600)
-
-
-def _read(path: str | Path, kind: str, value_key: str) -> dict:
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InvalidKey(f"cannot read key file {path}: {exc}") from exc
-    try:
-        require_keys(obj, {"kind", value_key}, "key file")
-    except ValueError as exc:
-        raise InvalidKey(str(exc)) from exc
-    if obj["kind"] != kind:
-        raise InvalidKey(f"key file {path} has kind {obj['kind']!r}, expected {kind!r}")
-    return obj
-
-
-def _unhex(text: str) -> bytes:
-    if not isinstance(text, str) or not text.startswith("0x"):
-        raise InvalidKey("key must be 0x-prefixed hex")
-    try:
-        raw = bytes.fromhex(text[2:])
-    except ValueError as exc:
-        raise InvalidKey(f"key is not valid hex: {exc}") from exc
-    if len(raw) != 32:
-        raise InvalidKey("key must be 32 bytes")
-    return raw
+    return load_key(path, "encryption-public")

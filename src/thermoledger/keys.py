@@ -1,4 +1,4 @@
-"""Signing keys and address derivation.
+"""Signing keys, address derivation, and key files.
 
 The default scheme is Ed25519: signatures are deterministic, which keeps
 transaction hashes reproducible across runs. Addresses are the last 20
@@ -6,6 +6,11 @@ bytes of the SHA-256 digest of the raw 32-byte public key, rendered as
 ``0x`` plus 40 lowercase hex characters. Anything that signs payloads and
 exposes 32-byte public keys can stand in for SigningKey; nothing below
 type-checks against the class itself.
+
+Key files are the one on-disk key format for both signing and encryption
+keys: a JSON object ``{kind, private_key}`` (mode 0600) with a ``PATH.pub``
+companion ``{kind-public, public_key}``, each value 32 bytes of canonical
+0x-hex.
 """
 
 from __future__ import annotations
@@ -97,44 +102,36 @@ def verify_signature(public_key: bytes, signature: bytes, payload: bytes) -> boo
     return True
 
 
-def save_signing_key(path: str | Path, key: SigningKey) -> None:
-    """Write the private key file (0600) and its .pub companion."""
+def save_key_pair(path: str | Path, kind: str, private: bytes, public: bytes) -> None:
+    """Write the private key file (0600) and its PATH.pub companion."""
     path = Path(path)
-    _write_key_file(path, {"kind": "signing", "private_key": bytes_to_hex(key.private_bytes())})
-    _write_key_file(
-        path.with_name(path.name + ".pub"),
-        {"kind": "signing-public", "public_key": bytes_to_hex(key.public_bytes)},
-        private=False,
-    )
+    private_obj = {"kind": kind, "private_key": bytes_to_hex(private)}
+    path.write_text(json.dumps(private_obj, indent=2) + "\n", encoding="utf-8")
+    os.chmod(path, 0o600)
+    public_obj = {"kind": kind + "-public", "public_key": bytes_to_hex(public)}
+    path.with_name(path.name + ".pub").write_text(json.dumps(public_obj, indent=2) + "\n", encoding="utf-8")
+
+
+def load_key(path: str | Path, kind: str) -> bytes:
+    """Read the 32-byte key of a ``kind`` key file; InvalidKey on any fault."""
+    value_key = "public_key" if kind.endswith("-public") else "private_key"
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        require_keys(obj, {"kind", value_key}, "key file")
+        if obj["kind"] != kind:
+            raise ValueError(f"has kind {obj['kind']!r}, expected {kind!r}")
+        return parse_hex(obj[value_key], length=32)
+    except (OSError, ValueError) as exc:
+        raise InvalidKey(f"key file {path}: {exc}") from exc
+
+
+def save_signing_key(path: str | Path, key: SigningKey) -> None:
+    save_key_pair(path, "signing", key.private_bytes(), key.public_bytes)
 
 
 def load_signing_key(path: str | Path) -> SigningKey:
-    obj = _read_key_file(path, kind="signing")
-    return SigningKey.from_private_bytes(parse_hex(obj["private_key"], length=32))
+    return SigningKey.from_private_bytes(load_key(path, "signing"))
 
 
 def load_signing_public(path: str | Path) -> bytes:
-    obj = _read_key_file(path, kind="signing-public")
-    return parse_hex(obj["public_key"], length=PUBLIC_KEY_SIZE)
-
-
-def _write_key_file(path: Path, obj: dict, private: bool = True) -> None:
-    data = json.dumps(obj, indent=2) + "\n"
-    path.write_text(data, encoding="utf-8")
-    if private:
-        os.chmod(path, 0o600)
-
-
-def _read_key_file(path: str | Path, kind: str) -> dict:
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InvalidKey(f"cannot read key file {path}: {exc}") from exc
-    value_key = "private_key" if not kind.endswith("-public") else "public_key"
-    try:
-        require_keys(obj, {"kind", value_key}, "key file")
-    except ValueError as exc:
-        raise InvalidKey(str(exc)) from exc
-    if obj["kind"] != kind:
-        raise InvalidKey(f"key file {path} has kind {obj['kind']!r}, expected {kind!r}")
-    return obj
+    return load_key(path, "signing-public")

@@ -291,15 +291,13 @@ def _attach_signature(key: SigningKey, payload: bytes) -> bytes:
     return key.public_bytes + key.sign(payload)
 
 
-def _check_signature(signature: bytes, expected_address: str, payload: bytes) -> bytes:
-    """Validate a composite signature field; returns the embedded pubkey."""
+def _check_signature(signature: bytes, payload: bytes, error: type[Error]) -> bytes:
+    """Verify a pubkey || signature field over payload; returns the pubkey."""
     if len(signature) != _SEALED_SIG_SIZE:
-        raise BadSignature(f"signature must be {_SEALED_SIG_SIZE} bytes, got {len(signature)}")
-    public_key, raw_sig = signature[:PUBLIC_KEY_SIZE], signature[PUBLIC_KEY_SIZE:]
-    if derive_address(public_key) != expected_address:
-        raise BadSignature("embedded public key does not derive the from-address")
-    if not verify_signature(public_key, raw_sig, payload):
-        raise BadSignature("signature does not verify over the canonical payload")
+        raise error(f"signature must be {_SEALED_SIG_SIZE} bytes, got {len(signature)}")
+    public_key = signature[:PUBLIC_KEY_SIZE]
+    if not verify_signature(public_key, signature[PUBLIC_KEY_SIZE:], payload):
+        raise error("signature does not verify over the canonical payload")
     return public_key
 
 
@@ -325,7 +323,9 @@ def build_and_sign_tx(
 
 def verify_tx(tx: Transaction, state: ChainState) -> None:
     """Raise BadSignature, NonceMismatch, or InsufficientBalance."""
-    _check_signature(tx.signature, tx.sender, tx.signing_payload())
+    public_key = _check_signature(tx.signature, tx.signing_payload(), BadSignature)
+    if derive_address(public_key) != tx.sender:
+        raise BadSignature("embedded public key does not derive the from-address")
     account = state.account(tx.sender)
     if tx.nonce != account.nonce:
         raise NonceMismatch(f"expected nonce {account.nonce}, got {tx.nonce}")
@@ -374,6 +374,17 @@ def genesis_state(genesis_config: Sequence[tuple[str, int]], genesis: Block) -> 
     )
 
 
+def _replay(transactions: Sequence[Transaction], state: ChainState, sealer: str) -> ChainState:
+    """Verify and apply transactions in order; SealRejected on the first failure."""
+    for index, tx in enumerate(transactions):
+        try:
+            verify_tx(tx, state)
+            state = apply_tx(tx, state, sealer)
+        except Error as exc:
+            raise SealRejected(index, exc) from exc
+    return state
+
+
 def seal_block(
     pending: Sequence[Transaction],
     state: ChainState,
@@ -386,14 +397,7 @@ def seal_block(
     list order; the first failure raises SealRejected with its index and
     leaves the input state untouched. An empty list seals an empty block.
     """
-    sealer = sealer_key.address
-    new_state = state
-    for index, tx in enumerate(pending):
-        try:
-            verify_tx(tx, new_state)
-        except Error as exc:
-            raise SealRejected(index, exc) from exc
-        new_state = apply_tx(tx, new_state, sealer)
+    new_state = _replay(pending, state, sealer_key.address)
     unsealed = Block(
         height=state.head_height + 1,
         prev_hash=state.head_hash,
@@ -408,16 +412,11 @@ def seal_block(
 
 
 def _check_seal(block: Block, authority_key: bytes | None, expected_sealer: str | None) -> bytes:
-    if len(block.sealer_signature) != _SEALED_SIG_SIZE:
-        raise BadSealerSignature("seal must be pubkey plus detached signature")
-    public_key = block.sealer_signature[:PUBLIC_KEY_SIZE]
-    raw_sig = block.sealer_signature[PUBLIC_KEY_SIZE:]
+    public_key = _check_signature(block.sealer_signature, block.seal_payload(), BadSealerSignature)
     if authority_key is not None and public_key != authority_key:
         raise BadSealerSignature("sealed by a key other than the chain authority")
     if expected_sealer is not None and derive_address(public_key) != expected_sealer:
         raise BadSealerSignature("sealer address does not match the configured authority")
-    if not verify_signature(public_key, raw_sig, block.seal_payload()):
-        raise BadSealerSignature("seal does not verify over the block header")
     return public_key
 
 
@@ -435,20 +434,16 @@ def verify_chain(
     if not blocks:
         raise ChainVerificationError(0, MalformedBlock("chain has no genesis block"))
     genesis = blocks[0]
-
-    def fail(height: int, cause: Error) -> ChainVerificationError:
-        return ChainVerificationError(height, cause)
-
     if genesis.height != 0 or genesis.prev_hash != ZERO_HASH:
-        raise fail(genesis.height, BrokenLink("genesis must have height 0 and all-zero prev_hash"))
+        raise ChainVerificationError(genesis.height, BrokenLink("genesis must have height 0 and all-zero prev_hash"))
     if genesis.transactions:
-        raise fail(0, MalformedBlock("genesis block must not carry transactions"))
+        raise ChainVerificationError(0, MalformedBlock("genesis block must not carry transactions"))
     if genesis.timestamp != GENESIS_TIMESTAMP:
-        raise fail(0, MalformedBlock("genesis timestamp must be 0"))
+        raise ChainVerificationError(0, MalformedBlock("genesis timestamp must be 0"))
     try:
         authority_key = _check_seal(genesis, None, expected_sealer)
     except Error as exc:
-        raise fail(0, exc) from exc
+        raise ChainVerificationError(0, exc) from exc
     sealer = derive_address(authority_key)
 
     state = genesis_state(genesis_config, genesis)
@@ -467,12 +462,12 @@ def verify_chain(
                 raise MerkleRootMismatch("transaction list does not produce the stored root")
             if index > 0:
                 _check_seal(block, authority_key, expected_sealer)
-                for tx in block.transactions:
-                    verify_tx(tx, state)
-                    state = apply_tx(tx, state, sealer)
+                state = _replay(block.transactions, state, sealer)
                 state = replace(state, head_hash=block.block_hash, head_height=height)
+        except SealRejected as exc:
+            raise ChainVerificationError(height, exc.cause) from exc
         except Error as exc:
-            raise fail(height, exc) from exc
+            raise ChainVerificationError(height, exc) from exc
         prev = block
     return state
 
@@ -621,6 +616,10 @@ class Chain:
         return self._blocks[-1]
 
     def seal(self, pending: Sequence[Transaction], sealer_key: SigningKey, timestamp: int | None = None) -> Block:
+        # verify_chain rejects any block not sealed by the genesis key, and the
+        # chain file is append-only, so refuse before signing or writing
+        if sealer_key.public_bytes != self._blocks[0].sealer_signature[:PUBLIC_KEY_SIZE]:
+            raise BadSealerSignature("sealer key is not the chain authority that sealed genesis")
         with self._write_lock:
             block, new_state = seal_block(pending, self._state, sealer_key, timestamp)
             if self._path is not None:

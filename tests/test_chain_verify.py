@@ -61,6 +61,18 @@ def test_foreign_sealer_rejected(three_block_chain, genesis_config, sensor):
     assert isinstance(excinfo.value.cause, BadSealerSignature)
 
 
+def test_chain_seal_refuses_foreign_key(genesis_config, sealer, sensor, tmp_path):
+    path = tmp_path / "chain.jsonl"
+    chain = ledger.Chain.create(genesis_config, sealer, path)
+    before = path.read_bytes()
+    with pytest.raises(BadSealerSignature):
+        chain.seal([], sensor)
+    assert path.read_bytes() == before
+    assert len(chain.blocks) == 1
+    chain.seal([], sealer)
+    verify_chain(load_chain(path), genesis_config)
+
+
 def test_tampered_tx_value_breaks_merkle(three_block_chain, genesis_config):
     blocks = list(three_block_chain.blocks)
     victim = blocks[1]

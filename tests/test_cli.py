@@ -151,6 +151,24 @@ class TestChainCommands:
         assert "sealed block 1 with 0 transactions" in result.output
         run("--data-dir", workspace["data"], "verify")
 
+    def test_foreign_sealer_key_refused(self, workspace):
+        data = workspace["data"]
+        run("--data-dir", data, "keygen", "--out", data / "other.key")
+        before = (data / "chain.jsonl").read_bytes()
+        result = run("--data-dir", data, "--sealer-key", data / "other.key", "seal", expect=1)
+        assert result.stderr.startswith("BadSealerSignature: ")
+        assert (data / "chain.jsonl").read_bytes() == before
+        run("--data-dir", data, "verify")
+
+    def test_malformed_sealer_key_is_domain_error(self, tmp_path):
+        bad_key = tmp_path / "bad.key"
+        bad_key.write_text(json.dumps({"kind": "signing", "private_key": "0xzz"}))
+        genesis = tmp_path / "genesis.json"
+        genesis.write_text("{}")
+        result = run("--data-dir", tmp_path / "data", "--sealer-key", bad_key, "init", "--genesis", genesis, expect=1)
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("InvalidKey: ")
+
     def test_explorer_from_filter(self, workspace):
         _ingest_fixture(workspace)
         rows = run("--data-dir", workspace["data"], "explorer", "--from", workspace["sensor"], "--format", "csv")

@@ -1,8 +1,10 @@
 import hashlib
+import json
 import re
 
 import pytest
 
+from thermoledger.envelope import load_identity, load_recipient_public
 from thermoledger.errors import InvalidKey
 from thermoledger.keys import (
     SigningKey,
@@ -70,10 +72,31 @@ def test_key_file_round_trip(tmp_path):
     assert load_signing_public(tmp_path / "sensor.key.pub") == key.public_bytes
 
 
-def test_key_file_kind_checked(tmp_path):
+KEY_FILE_LOADERS = {
+    "signing": load_signing_key,
+    "signing-public": load_signing_public,
+    "encryption": load_identity,
+    "encryption-public": load_recipient_public,
+}
+
+KEY_FILE_FAULTS = {
+    "missing file": None,
+    "bad JSON": "{not json",
+    "wrong kind": {"kind": "other", "value": "0x" + "11" * 32},
+    "bad hex": {"value": "0x" + "zz" * 32},
+    "wrong length": {"value": "0x" + "11" * 31},
+}
+
+
+@pytest.mark.parametrize("fault", KEY_FILE_FAULTS)
+@pytest.mark.parametrize("kind", KEY_FILE_LOADERS)
+def test_key_file_kind_checked(tmp_path, kind, fault):
     path = tmp_path / "k.key"
-    save_signing_key(path, SigningKey.generate())
+    content = KEY_FILE_FAULTS[fault]
+    if isinstance(content, dict):
+        field = "public_key" if kind.endswith("-public") else "private_key"
+        content = json.dumps({"kind": content.get("kind", kind), field: content["value"]})
+    if content is not None:
+        path.write_text(content, encoding="utf-8")
     with pytest.raises(InvalidKey):
-        load_signing_key(tmp_path / "k.key.pub")
-    with pytest.raises(InvalidKey):
-        load_signing_key(tmp_path / "missing.key")
+        KEY_FILE_LOADERS[kind](path)
