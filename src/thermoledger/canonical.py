@@ -9,19 +9,26 @@ be bit-exact across runs, platforms, and languages:
 * byte strings rendered as lowercase hex with a ``0x`` prefix.
 
 Parsing is strict: anything that is not the unique canonical rendering of
-its value (uppercase hex, leading zeros, stray signs) is rejected, so a
-stored encoding can always be reproduced byte-for-byte from its parse.
+its value (uppercase hex, leading zeros, stray signs, loose base64) is
+rejected, so a stored encoding can always be reproduced byte-for-byte from
+its parse. Every record decoder goes through here and raises ValueError,
+which each caller maps to its own exception type.
 """
 
 from __future__ import annotations
 
+import base64
 import hashlib
 import json
 import re
+from pathlib import Path
+from typing import Callable
 
 _UINT_RE = re.compile(r"0|[1-9][0-9]*")
 _HEX_RE = re.compile(r"0x(?:[0-9a-f][0-9a-f])*")
 _BARE_HEX64_RE = re.compile(r"[0-9a-f]{64}")
+# last 4-char quantum of canonical base64: the bits that padding drops are zero
+_B64_TAIL_RE = re.compile(r"[A-Za-z0-9+/](?:[A-Za-z0-9+/]{3}|[A-Za-z0-9+/][AEIMQUYcgkosw048]=|[AQgw]==)")
 
 
 def canonical_json(obj) -> bytes:
@@ -96,3 +103,48 @@ def require_keys(obj: dict, keys: set[str], what: str) -> None:
     """Reject objects whose key set is not exactly the expected one."""
     if not isinstance(obj, dict) or set(obj.keys()) != keys:
         raise ValueError(f"malformed {what}: expected keys {sorted(keys)}")
+
+
+def parse_object(raw: bytes, keys: set[str] | None, what: str) -> dict:
+    """Decode ASCII JSON bytes to an object with exactly ``keys`` (None: any)."""
+    obj = json.loads(raw.decode("ascii"))
+    if keys is None:
+        if not isinstance(obj, dict):
+            raise ValueError(f"malformed {what}: not a JSON object")
+    else:
+        require_keys(obj, keys, what)
+    return obj
+
+
+def b64(data: bytes) -> str:
+    return base64.b64encode(data).decode("ascii")
+
+
+def parse_b64(text: str, what: str) -> bytes:
+    """Decode canonical base64 only (RFC 4648 section 3.5).
+
+    The strict decoder still takes excess padding (``AAAA====``) and nonzero
+    dropped bits (``AB==``); the length and last-quantum checks reject both
+    in O(1), without re-encoding the field.
+    """
+    if not isinstance(text, str) or len(text) % 4 or (text and not _B64_TAIL_RE.fullmatch(text, len(text) - 4)):
+        raise ValueError(f"{what} is not canonical base64")
+    try:
+        return base64.b64decode(text, validate=True)
+    except ValueError as exc:
+        raise ValueError(f"{what} is not canonical base64: {exc}") from exc
+
+
+def read_records(path: str | Path, from_obj: Callable[[dict], object], error: Callable[[str], Exception]) -> list:
+    """Parse one JSON object per line, no blank lines; ``error("line N: ...")``."""
+    records = []
+    with open(path, "rb") as fp:
+        for lineno, line in enumerate(fp, start=1):
+            line = line.rstrip(b"\n")
+            try:
+                if not line:
+                    raise ValueError("empty line")
+                records.append(from_obj(parse_object(line, None, "record")))
+            except ValueError as exc:
+                raise error(f"line {lineno}: {exc}") from exc
+    return records

@@ -19,7 +19,6 @@ from __future__ import annotations
 import csv as csv_mod
 import functools
 import io
-import json
 import sys
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
@@ -28,6 +27,7 @@ from pathlib import Path
 import click
 
 from . import dagstore, envelope, exchange, ledger, telemetry
+from .canonical import read_records
 from .errors import Error
 from .keys import SigningKey, load_signing_key, require_address, save_signing_key
 
@@ -41,7 +41,6 @@ class Config:
     gas_limit: int
     gas_price: int
     offset_c: Decimal
-    port: int
 
     @property
     def chain_path(self) -> Path:
@@ -108,9 +107,8 @@ def _parse_offset(ctx, param, value: str) -> Decimal:
 @click.option("--gas-limit", default=ledger.DEFAULT_GAS_LIMIT, show_default=True)
 @click.option("--gas-price", default=ledger.DEFAULT_GAS_PRICE, show_default=True)
 @click.option("--offset-c", default="0", show_default=True, callback=_parse_offset, help="Decimal offset added to temperatures before encoding.")
-@click.option("--port", envvar="THERMOLEDGER_PORT", default=DEFAULT_PORT, show_default=True, help="Default object exchange port.")
 @click.pass_context
-def main(ctx, data_dir: Path, sealer_key: Path | None, gas_limit: int, gas_price: int, offset_c: Decimal, port: int):
+def main(ctx, data_dir: Path, sealer_key: Path | None, gas_limit: int, gas_price: int, offset_c: Decimal):
     """Private temperature ledger and encrypted record-file exchange."""
     ctx.obj = Config(
         data_dir=data_dir,
@@ -118,7 +116,6 @@ def main(ctx, data_dir: Path, sealer_key: Path | None, gas_limit: int, gas_price
         gas_limit=gas_limit,
         gas_price=gas_price,
         offset_c=offset_c,
-        port=port,
     )
 
 
@@ -185,7 +182,7 @@ def ingest(config: Config, csv_file: Path, receiver: str, rotate_every: int | No
         readings,
         rotation,
         receiver,
-        chain.state,
+        chain.state_after(_load_pending(config.pending_path)),  # nonces continue after the queue
         policy=config.encoding_policy,
         gas_limit=config.gas_limit,
         gas_price=config.gas_price,
@@ -218,17 +215,7 @@ def seal(config: Config):
 def _load_pending(path: Path) -> list[ledger.Transaction]:
     if not path.exists():
         return []
-    txs = []
-    with open(path, "rb") as fp:
-        for lineno, line in enumerate(fp, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                txs.append(ledger.Transaction.from_obj(json.loads(line.decode("ascii"))))
-            except (ValueError, UnicodeDecodeError) as exc:
-                raise click.ClickException(f"{path} line {lineno}: {exc}")
-    return txs
+    return read_records(path, ledger.Transaction.from_obj, lambda message: click.ClickException(f"{path} {message}"))
 
 
 @main.command()
@@ -324,15 +311,15 @@ def fetch(config: Config, root: str, peer: str, identity_path: Path, out_path: P
 
 
 @main.command()
-@click.option("--port", type=int, default=None, help="Listen port [default: configured port].")
+@click.option("--port", envvar="THERMOLEDGER_PORT", default=DEFAULT_PORT, show_default=True, help="Listen port.")
 @click.option("--host", default="0.0.0.0", show_default=True)
 @click.pass_obj
 @_domain_errors
-def serve(config: Config, port: int | None, host: str):
+def serve(config: Config, port: int, host: str):
     """Serve the local object store to peers until interrupted."""
     store = dagstore.ObjectStore(config.objects_dir)
     try:
-        server = exchange.PeerServer(store, (host, port if port is not None else config.port))
+        server = exchange.PeerServer(store, (host, port))
     except OSError as exc:
         click.echo(f"BindFailure: {exc}", err=True)
         sys.exit(1)

@@ -14,16 +14,13 @@ concurrent puts safe without a lock.
 
 from __future__ import annotations
 
-import base64
-import binascii
-import json
 import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-from .canonical import canonical_json, parse_bare_hex64, parse_uint, require_keys, sha256, uint_to_str
+from .canonical import b64, canonical_json, parse_b64, parse_bare_hex64, parse_object, parse_uint, require_keys, sha256, uint_to_str
 from .errors import Error
 
 CHUNK_SIZE = 262_144
@@ -95,7 +92,7 @@ class DagNode:
 
 def encode_node(node: DagNode) -> bytes:
     obj = {
-        "data": base64.b64encode(node.data).decode("ascii"),
+        "data": b64(node.data),
         "links": [
             {"name": link.name, "hash": link.hash, "size": uint_to_str(link.size)}
             for link in node.links
@@ -105,18 +102,11 @@ def encode_node(node: DagNode) -> bytes:
 
 
 def decode_node(raw: bytes) -> DagNode:
-    """Strict inverse of encode_node."""
-    try:
-        obj = json.loads(raw.decode("ascii"))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise ValueError(f"node is not canonical JSON: {exc}") from exc
-    require_keys(obj, {"data", "links"}, "node")
-    if not isinstance(obj["data"], str) or not isinstance(obj["links"], list):
-        raise ValueError("malformed node fields")
-    try:
-        data = base64.b64decode(obj["data"], validate=True)
-    except binascii.Error as exc:
-        raise ValueError(f"node data is not valid base64: {exc}") from exc
+    """Strict inverse of encode_node; ValueError on any deviation."""
+    obj = parse_object(raw, {"data", "links"}, "node")
+    if not isinstance(obj["links"], list):
+        raise ValueError("node links must be a list")
+    data = parse_b64(obj["data"], "node data")
     links = []
     for entry in obj["links"]:
         require_keys(entry, {"name", "hash", "size"}, "link")
@@ -124,6 +114,8 @@ def decode_node(raw: bytes) -> DagNode:
             raise ValueError("link name must be a string")
         links.append(Link(name=entry["name"], hash=parse_bare_hex64(entry["hash"]), size=parse_uint(entry["size"])))
     node = DagNode(data=data, links=tuple(links))
+    # the fields parse canonically, but key order, spacing and escapes must
+    # too: one node, one byte string, one hash
     if encode_node(node) != raw:
         raise ValueError("node bytes are not in canonical form")
     return node

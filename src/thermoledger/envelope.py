@@ -15,9 +15,6 @@ a wrong key fails loudly instead of decrypting to garbage.
 
 from __future__ import annotations
 
-import base64
-import binascii
-import json
 import os
 from pathlib import Path
 
@@ -30,7 +27,7 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
-from .canonical import canonical_json, require_keys, sha256
+from .canonical import b64, canonical_json, parse_b64, parse_bare_hex64, parse_object, sha256
 from .errors import Error, InvalidKey
 from .keys import load_key, save_key_pair
 
@@ -39,6 +36,7 @@ _KEY_SIZE = 32
 _NONCE_SIZE = 12
 _WRAPPED_KEY_SIZE = 32 + _NONCE_SIZE + _KEY_SIZE + 16  # eph pub || nonce || key+tag
 _HKDF_INFO = b"thermoledger envelope v1"
+_B64_FIELDS = ("wrapped_key", "nonce", "ciphertext")
 
 
 class WrongRecipient(Error):
@@ -130,9 +128,9 @@ def encrypt_for(recipient_public_key: bytes, plaintext: bytes) -> bytes:
     obj = {
         "version": str(VERSION),
         "recipient_fingerprint": fingerprint(recipient_public_key),
-        "wrapped_key": _b64(ephemeral_public + wrap_nonce + wrapped),
-        "nonce": _b64(nonce),
-        "ciphertext": _b64(ciphertext),
+        "wrapped_key": b64(ephemeral_public + wrap_nonce + wrapped),
+        "nonce": b64(nonce),
+        "ciphertext": b64(ciphertext),
     }
     return canonical_json(obj)
 
@@ -162,40 +160,23 @@ def decrypt(envelope: bytes, identity: Identity) -> bytes:
         raise AuthenticationFailed(f"envelope failed to decrypt: {exc}") from exc
 
 
-def _b64(data: bytes) -> str:
-    return base64.b64encode(data).decode("ascii")
-
-
 def _parse_envelope(envelope: bytes) -> dict:
     try:
-        obj = json.loads(envelope.decode("ascii"))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise MalformedEnvelope(f"not valid JSON: {exc}") from exc
-    try:
-        require_keys(obj, {"version", "recipient_fingerprint", "wrapped_key", "nonce", "ciphertext"}, "envelope")
+        obj = parse_object(envelope, {"version", "recipient_fingerprint", *_B64_FIELDS}, "envelope")
+        if obj["version"] != str(VERSION):
+            raise ValueError(f"unsupported envelope version: {obj['version']!r}")
+        parse_bare_hex64(obj["recipient_fingerprint"])
+        # only the canonical spelling decodes, so a mutated field never
+        # decodes to the original bytes
+        for field in _B64_FIELDS:
+            obj[field] = parse_b64(obj[field], field)
     except ValueError as exc:
         raise MalformedEnvelope(str(exc)) from exc
-    if obj["version"] != str(VERSION):
-        raise MalformedEnvelope(f"unsupported envelope version: {obj['version']!r}")
-    if not isinstance(obj["recipient_fingerprint"], str) or len(obj["recipient_fingerprint"]) != 64:
-        raise MalformedEnvelope("recipient_fingerprint must be 64 hex characters")
-    parsed = dict(obj)
-    for field in ("wrapped_key", "nonce", "ciphertext"):
-        if not isinstance(obj[field], str):
-            raise MalformedEnvelope(f"{field} must be a base64 string")
-        try:
-            parsed[field] = base64.b64decode(obj[field], validate=True)
-        except binascii.Error as exc:
-            raise MalformedEnvelope(f"{field} is not valid base64: {exc}") from exc
-        # b64decode ignores non-canonical trailing bits, which would let a
-        # mutated envelope decode to the original bytes; reject those forms
-        if base64.b64encode(parsed[field]).decode("ascii") != obj[field]:
-            raise MalformedEnvelope(f"{field} is not canonical base64")
-    if len(parsed["wrapped_key"]) != _WRAPPED_KEY_SIZE:
+    if len(obj["wrapped_key"]) != _WRAPPED_KEY_SIZE:
         raise MalformedEnvelope(f"wrapped_key must be {_WRAPPED_KEY_SIZE} bytes")
-    if len(parsed["nonce"]) != _NONCE_SIZE:
+    if len(obj["nonce"]) != _NONCE_SIZE:
         raise MalformedEnvelope(f"nonce must be {_NONCE_SIZE} bytes")
-    return parsed
+    return obj
 
 
 # --- key file storage -------------------------------------------------------

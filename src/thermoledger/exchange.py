@@ -17,19 +17,19 @@ fetch but never a corrupt store.
 
 from __future__ import annotations
 
-import base64
-import binascii
-import json
 import socket
 import socketserver
 import struct
 import threading
-from .canonical import canonical_json, parse_bare_hex64, require_keys, sha256
+
+from .canonical import b64, canonical_json, parse_b64, parse_bare_hex64, parse_object, require_keys, sha256
 from .dagstore import CorruptObject, NotFound, ObjectStore, decode_node
 from .errors import Error
 
 MAX_FRAME_SIZE = 1024 * 1024
+PEER_TIMEOUT = 30.0  # seconds a peer may stay silent, on either end
 _LEN = struct.Struct(">I")
+_MESSAGE_KEYS = {"get": {"type", "hash"}, "node": {"type", "hash", "node"}, "missing": {"type", "hash"}}
 
 
 class HashMismatch(Error):
@@ -96,7 +96,7 @@ def encode_get(hash: str) -> bytes:
 
 def encode_node(hash: str, raw: bytes) -> bytes:
     return canonical_json(
-        {"type": "node", "hash": parse_bare_hex64(hash), "node": base64.b64encode(raw).decode("ascii")}
+        {"type": "node", "hash": parse_bare_hex64(hash), "node": b64(raw)}
     )
 
 
@@ -107,24 +107,16 @@ def encode_missing(hash: str) -> bytes:
 def decode_message(payload: bytes) -> dict:
     """Parse and validate one wire message; raises ProtocolError."""
     try:
-        obj = json.loads(payload.decode("ascii"))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise ProtocolError(f"frame is not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict) or "type" not in obj:
-        raise ProtocolError("frame has no message type")
-    kind = obj["type"]
-    try:
-        if kind in ("get", "missing"):
-            require_keys(obj, {"type", "hash"}, kind)
-        elif kind == "node":
-            require_keys(obj, {"type", "hash", "node"}, "node message")
-            if not isinstance(obj["node"], str):
-                raise ValueError("node payload must be a base64 string")
-            obj = dict(obj, node=base64.b64decode(obj["node"], validate=True))
-        else:
+        obj = parse_object(payload, None, "message")
+        kind = obj.get("type")
+        keys = _MESSAGE_KEYS.get(kind) if isinstance(kind, str) else None
+        if keys is None:
             raise ValueError(f"unknown message type {kind!r}")
+        require_keys(obj, keys, f"{kind} message")
         parse_bare_hex64(obj["hash"])
-    except (ValueError, binascii.Error) as exc:
+        if "node" in keys:
+            obj["node"] = parse_b64(obj["node"], "node payload")
+    except ValueError as exc:
         raise ProtocolError(str(exc)) from exc
     return obj
 
@@ -132,7 +124,7 @@ def decode_message(payload: bytes) -> dict:
 class _Handler(socketserver.BaseRequestHandler):
     def handle(self):
         store = self.server.store
-        self.request.settimeout(self.server.client_timeout)
+        self.request.settimeout(PEER_TIMEOUT)
         while True:
             try:
                 payload = read_frame(self.request)
@@ -164,10 +156,9 @@ class PeerServer(socketserver.ThreadingTCPServer):
     daemon_threads = True
     allow_reuse_address = True
 
-    def __init__(self, store, address: tuple[str, int], client_timeout: float = 30.0):
+    def __init__(self, store, address: tuple[str, int]):
         super().__init__(address, _Handler)
         self.store = store
-        self.client_timeout = client_timeout
         self._thread: threading.Thread | None = None
 
     @property
@@ -202,9 +193,9 @@ def serve(store, host: str = "127.0.0.1", port: int = 0) -> PeerServer:
 
 
 class _PeerConnection:
-    def __init__(self, endpoint: tuple[str, int], timeout: float):
+    def __init__(self, endpoint: tuple[str, int]):
         try:
-            self._sock = socket.create_connection(endpoint, timeout=timeout)
+            self._sock = socket.create_connection(endpoint, timeout=PEER_TIMEOUT)
         except OSError as exc:
             raise ConnectionLost(f"cannot connect to {endpoint[0]}:{endpoint[1]}: {exc}") from exc
 
@@ -234,12 +225,7 @@ class _PeerConnection:
             pass
 
 
-def fetch_dag(
-    endpoint: tuple[str, int],
-    root: str,
-    store: ObjectStore,
-    timeout: float = 30.0,
-) -> int:
+def fetch_dag(endpoint: tuple[str, int], root: str, store: ObjectStore) -> int:
     """Pull the DAG under root into the local store; returns nodes fetched.
 
     Nodes already present locally are never re-requested. Every fetched
@@ -248,7 +234,7 @@ def fetch_dag(
     with HashMismatch and leaves the store clean.
     """
     parse_bare_hex64(root)
-    conn = _PeerConnection(endpoint, timeout)
+    conn = _PeerConnection(endpoint)
     try:
         transferred = 0
 

@@ -10,7 +10,7 @@ type-checks against the class itself.
 Key files are the one on-disk key format for both signing and encryption
 keys: a JSON object ``{kind, private_key}`` (mode 0600) with a ``PATH.pub``
 companion ``{kind-public, public_key}``, each value 32 bytes of canonical
-0x-hex.
+0x-hex. Saving never replaces a file that holds a different key.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .canonical import bytes_to_hex, parse_hex, require_keys, sha256
+from .canonical import bytes_to_hex, parse_hex, parse_object, sha256
 from .errors import InvalidKey
 
 PUBLIC_KEY_SIZE = 32
@@ -103,21 +103,32 @@ def verify_signature(public_key: bytes, signature: bytes, payload: bytes) -> boo
 
 
 def save_key_pair(path: str | Path, kind: str, private: bytes, public: bytes) -> None:
-    """Write the private key file (0600) and its PATH.pub companion."""
+    """Create the private key file, 0600 from its first byte, and PATH.pub.
+
+    InvalidKey if either file already holds other bytes: a key is never replaced.
+    """
     path = Path(path)
-    private_obj = {"kind": kind, "private_key": bytes_to_hex(private)}
-    path.write_text(json.dumps(private_obj, indent=2) + "\n", encoding="utf-8")
-    os.chmod(path, 0o600)
-    public_obj = {"kind": kind + "-public", "public_key": bytes_to_hex(public)}
-    path.with_name(path.name + ".pub").write_text(json.dumps(public_obj, indent=2) + "\n", encoding="utf-8")
+    _create_key_file(path, {"kind": kind, "private_key": bytes_to_hex(private)}, 0o600)
+    _create_key_file(path.with_name(path.name + ".pub"), {"kind": kind + "-public", "public_key": bytes_to_hex(public)}, 0o666)
+
+
+def _create_key_file(path: Path, obj: dict, mode: int) -> None:
+    data = (json.dumps(obj, indent=2) + "\n").encode("ascii")
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode)
+    except FileExistsError:
+        if path.read_bytes() != data:
+            raise InvalidKey(f"key file {path} already exists; refusing to replace it") from None
+        return
+    with os.fdopen(fd, "wb") as fp:
+        fp.write(data)
 
 
 def load_key(path: str | Path, kind: str) -> bytes:
     """Read the 32-byte key of a ``kind`` key file; InvalidKey on any fault."""
     value_key = "public_key" if kind.endswith("-public") else "private_key"
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        require_keys(obj, {"kind", value_key}, "key file")
+        obj = parse_object(Path(path).read_bytes(), {"kind", value_key}, "key file")
         if obj["kind"] != kind:
             raise ValueError(f"has kind {obj['kind']!r}, expected {kind!r}")
         return parse_hex(obj[value_key], length=32)

@@ -26,7 +26,9 @@ from .canonical import (
     bytes_to_hex,
     canonical_json,
     parse_hex,
+    parse_object,
     parse_uint,
+    read_records,
     require_keys,
     sha256,
     uint_to_str,
@@ -516,15 +518,10 @@ def write_genesis_config(path: str | Path, alloc: Mapping[str, int]) -> None:
 def load_genesis_config(path: str | Path) -> tuple[tuple[str, int], ...]:
     """Load an address -> decimal balance string map, sorted by address."""
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise MalformedBlock(f"genesis config is not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise MalformedBlock("genesis config must be an object mapping address to balance")
-    try:
+        obj = parse_object(Path(path).read_bytes(), None, "genesis config")
         alloc = tuple(sorted((require_address(a), parse_uint(b)) for a, b in obj.items()))
     except ValueError as exc:
-        raise MalformedBlock(f"genesis config entry invalid: {exc}") from exc
+        raise MalformedBlock(f"genesis config {path}: {exc}") from exc
     if sum(b for _, b in alloc) > MAX_VALUE:
         raise MalformedBlock("genesis allocations exceed 2**256 - 1 total")
     return alloc
@@ -543,18 +540,7 @@ def write_chain(path: str | Path, blocks: Iterable[Block]) -> None:
 
 def load_chain(path: str | Path) -> list[Block]:
     """Parse a chain file strictly; any deviation raises MalformedBlock."""
-    blocks = []
-    with open(path, "rb") as fp:
-        for lineno, line in enumerate(fp, start=1):
-            line = line.rstrip(b"\n")
-            if not line:
-                raise MalformedBlock(f"line {lineno}: empty block line")
-            try:
-                obj = json.loads(line.decode("ascii"))
-                blocks.append(Block.from_obj(obj))
-            except (ValueError, UnicodeDecodeError) as exc:
-                raise MalformedBlock(f"line {lineno}: {exc}") from exc
-    return blocks
+    return read_records(path, Block.from_obj, MalformedBlock)
 
 
 class Chain:
@@ -614,6 +600,10 @@ class Chain:
     @property
     def head(self) -> Block:
         return self._blocks[-1]
+
+    def state_after(self, pending: Sequence[Transaction]) -> ChainState:
+        """The state once pending is sealed on the head; SealRejected if it cannot be."""
+        return _replay(pending, self._state, derive_address(self._blocks[0].sealer_signature[:PUBLIC_KEY_SIZE]))
 
     def seal(self, pending: Sequence[Transaction], sealer_key: SigningKey, timestamp: int | None = None) -> Block:
         # verify_chain rejects any block not sealed by the genesis key, and the

@@ -69,9 +69,8 @@ class SensorReading:
 
 @dataclass(frozen=True)
 class EncodingPolicy:
-    """Affine fixed-point codec: value = (t + offset_c) * scale."""
+    """Affine fixed-point codec: value = (t + offset_c) * SCALE."""
 
-    scale: int = SCALE
     offset_c: Decimal = Decimal(0)
 
     def __post_init__(self):
@@ -117,7 +116,7 @@ def encode_reading(temperature_c: Decimal, policy: EncodingPolicy = EncodingPoli
         raise NegativeValue(f"{temperature_c} + offset {policy.offset_c} is negative")
     with localcontext() as ctx:
         ctx.prec = 80
-        value = (shifted * policy.scale).to_integral_value()
+        value = (shifted * SCALE).to_integral_value()
     return int(value)
 
 
@@ -125,7 +124,7 @@ def decode_value(value: int, policy: EncodingPolicy = EncodingPolicy()) -> Decim
     """Exact inverse of encode_reading."""
     with localcontext() as ctx:
         ctx.prec = 80
-        return Decimal(value) / policy.scale - policy.offset_c
+        return Decimal(value) / SCALE - policy.offset_c
 
 
 def format_temperature(value: Decimal) -> str:

@@ -1,3 +1,4 @@
+import base64
 import json
 
 import pytest
@@ -5,11 +6,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from thermoledger.canonical import (
+    b64,
     bytes_to_hex,
     canonical_json,
+    parse_b64,
     parse_bare_hex64,
     parse_hex,
+    parse_object,
     parse_uint,
+    read_records,
     uint_to_str,
 )
 
@@ -96,3 +101,60 @@ def test_canonical_json_is_parseable_and_stable(obj):
     encoded = canonical_json(obj)
     assert json.loads(encoded) == obj
     assert canonical_json(json.loads(encoded)) == encoded
+
+
+B64_ALPHABET = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+
+
+@given(st.binary(max_size=64))
+def test_b64_round_trip_property(data):
+    assert parse_b64(b64(data), "field") == data
+
+
+def test_parse_b64_accepts_exactly_the_canonical_quanta():
+    # every padded last quantum: canonical iff it re-encodes to itself
+    for text in ["AA" + c + "=" for c in B64_ALPHABET] + ["A" + c + "==" for c in B64_ALPHABET]:
+        canonical = base64.b64encode(base64.b64decode(text)).decode() == text
+        try:
+            parse_b64(text, "field")
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == canonical, text
+
+
+@pytest.mark.parametrize("bad", ["AB==", "AAB=", "AAAA====", "AAAA=", "A===", "====", "AA=A", "=AAA", "AA==AAAA", "AAA", "AA AA A=", "AAé=", b"AAAA", None])
+def test_parse_b64_strict(bad):
+    with pytest.raises(ValueError, match="field is not canonical base64"):
+        parse_b64(bad, "field")
+
+
+@pytest.mark.parametrize("raw", [b"\xff{}", b"{", b"[]", b'"x"', b'{"a":"1"}', b'{"a":"1","b":"2","c":"3"}'])
+def test_parse_object_strict(raw):
+    with pytest.raises(ValueError):
+        parse_object(raw, {"a", "b"}, "thing")
+
+
+def test_parse_object_any_keys():
+    assert parse_object(b'{"z":"1"}', None, "thing") == {"z": "1"}
+    with pytest.raises(ValueError, match="malformed thing: not a JSON object"):
+        parse_object(b"[]", None, "thing")
+
+
+class _Bad(Exception):
+    pass
+
+
+@pytest.mark.parametrize("content, line", [(b'{"a":"1"}\n\n{"a":"2"}\n', 2), (b'{"a":"1"}\n{"b":"2"}\n', 2), (b"[]\n", 1)])
+def test_read_records_names_the_bad_line(tmp_path, content, line):
+    def from_obj(obj):
+        if set(obj) != {"a"}:
+            raise ValueError("want key a")
+        return obj["a"]
+
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(content)
+    with pytest.raises(_Bad, match=f"^line {line}: "):
+        read_records(path, from_obj, _Bad)
+    path.write_bytes(b'{"a":"1"}\n{"a":"2"}')  # the last line may lack its newline
+    assert read_records(path, from_obj, _Bad) == ["1", "2"]

@@ -146,6 +146,36 @@ class TestChainCommands:
         assert "sealed block 1 with 24 transactions" in result.output
         assert pending.read_bytes() == b""
 
+    def test_queued_batches_stack_then_seal_as_one_block(self, workspace):
+        _ingest_fixture(workspace, "--no-seal")
+        _ingest_fixture(workspace, "--no-seal")
+        result = run("--data-dir", workspace["data"], "seal")
+        assert "sealed block 1 with 48 transactions" in result.output
+        run("--data-dir", workspace["data"], "verify")
+
+    def test_direct_seal_refused_while_queue_waits(self, workspace):
+        data = workspace["data"]
+        _ingest_fixture(workspace, "--no-seal")
+        before = [(data / name).read_bytes() for name in ("chain.jsonl", "pending.jsonl")]
+        result = run(
+            "--data-dir", data, "ingest", "--csv", FIXTURE_CSV, "--to", workspace["bms"],
+            "--sender-key", data / "sensor.key", expect=1,
+        )
+        assert result.stderr.startswith("SealRejected: ")
+        assert [(data / name).read_bytes() for name in ("chain.jsonl", "pending.jsonl")] == before
+        assert "sealed block 1 with 24 transactions" in run("--data-dir", data, "seal").output
+
+    def test_keygen_refuses_to_replace_a_key(self, workspace):
+        data = workspace["data"]
+        files = [data / "sealer.key", data / "sealer.key.pub"]
+        before = [f.read_bytes() for f in files]
+        for kind in ("signing", "encryption"):
+            result = run("--data-dir", data, "keygen", "--kind", kind, "--out", data / "sealer.key", expect=1)
+            assert result.stderr.startswith("InvalidKey: ")
+        assert [f.read_bytes() for f in files] == before
+        run("--data-dir", data, "seal")
+        run("--data-dir", data, "verify")
+
     def test_seal_empty_block(self, workspace):
         result = run("--data-dir", workspace["data"], "seal")
         assert "sealed block 1 with 0 transactions" in result.output
@@ -261,6 +291,22 @@ class TestServeCommand:
             blocker.close()
         assert result.exit_code == 1
         assert result.stderr.startswith("BindFailure")
+
+
+    def test_port_option_and_environment(self, tmp_path, monkeypatch):
+        bound = []
+
+        def refuse(store, address):
+            bound.append(address)
+            raise OSError("not bound in this test")
+
+        monkeypatch.setattr(exchange, "PeerServer", refuse)
+        serve = ["--data-dir", str(tmp_path), "serve"]
+        for port_env, extra in ((None, []), ("9999", []), ("9999", ["--port", "0"])):
+            assert runner.invoke(main, serve + extra, env={"THERMOLEDGER_PORT": port_env}).exit_code == 1
+        assert bound == [("0.0.0.0", 9464), ("0.0.0.0", 9999), ("0.0.0.0", 0)]
+        # the group-level --port, which only ever fed serve, is gone
+        assert runner.invoke(main, ["--port", "1", *serve]).exit_code == 2
 
 
 def test_console_script_installed():

@@ -1,6 +1,9 @@
 import hashlib
+import io
 import json
+import os
 import re
+import stat
 
 import pytest
 
@@ -11,6 +14,7 @@ from thermoledger.keys import (
     derive_address,
     load_signing_key,
     load_signing_public,
+    save_key_pair,
     save_signing_key,
     verify_signature,
 )
@@ -70,6 +74,40 @@ def test_key_file_round_trip(tmp_path):
     assert loaded.address == key.address
     assert loaded.private_bytes() == key.private_bytes()
     assert load_signing_public(tmp_path / "sensor.key.pub") == key.public_bytes
+
+
+def test_private_key_file_is_0600_from_its_first_write(tmp_path, monkeypatch):
+    # mode of each file as it is opened for writing, before any byte lands
+    modes = []
+    real_open = io.open
+
+    def spying_open(file, mode="r", *args, **kwargs):
+        fp = real_open(file, mode, *args, **kwargs)
+        if "w" in mode:
+            modes.append(stat.S_IMODE(os.fstat(fp.fileno()).st_mode))
+        return fp
+
+    monkeypatch.setattr(io, "open", spying_open)
+    old_umask = os.umask(0o022)
+    try:
+        save_signing_key(tmp_path / "k.key", seeded_key(1))
+    finally:
+        os.umask(old_umask)
+    assert modes == [0o600, 0o644]
+    assert stat.S_IMODE((tmp_path / "k.key").stat().st_mode) == 0o600
+
+
+def test_key_file_never_replaced(tmp_path):
+    path = tmp_path / "k.key"
+    save_signing_key(path, seeded_key(1))
+    before = path.read_bytes(), (tmp_path / "k.key.pub").read_bytes()
+    save_signing_key(path, seeded_key(1))  # the same key again is a no-op
+    with pytest.raises(InvalidKey, match="already exists"):
+        save_signing_key(path, seeded_key(2))
+    with pytest.raises(InvalidKey, match="already exists"):
+        save_key_pair(path, "encryption", bytes(32), bytes(32))
+    assert (path.read_bytes(), (tmp_path / "k.key.pub").read_bytes()) == before
+    assert load_signing_key(path).address == seeded_key(1).address
 
 
 KEY_FILE_LOADERS = {
