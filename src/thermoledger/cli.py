@@ -174,10 +174,7 @@ def ingest(config: Config, csv_file: Path, receiver: str, rotate_every: int | No
     receiver = _address_arg(receiver)
     chain = config.open_chain()
     readings = telemetry.ingest_csv(csv_file)
-    rotation = telemetry.RotationPolicy(
-        rotate_every=rotate_every if rotate_every is not None else "never",
-        pool=tuple(load_signing_key(path) for path in sender_keys),
-    )
+    rotation = telemetry.RotationPolicy(rotate_every, tuple(load_signing_key(path) for path in sender_keys))
     txs = telemetry.pump(
         readings,
         rotation,

@@ -113,7 +113,10 @@ def decode_node(raw: bytes) -> DagNode:
         if not isinstance(entry["name"], str):
             raise ValueError("link name must be a string")
         links.append(Link(name=entry["name"], hash=parse_bare_hex64(entry["hash"]), size=parse_uint(entry["size"])))
-    node = DagNode(data=data, links=tuple(links))
+    try:
+        node = DagNode(data=data, links=tuple(links))
+    except (InvalidNode, ChunkTooLarge) as exc:
+        raise ValueError(str(exc)) from exc
     # the fields parse canonically, but key order, spacing and escapes must
     # too: one node, one byte string, one hash
     if encode_node(node) != raw:

@@ -6,6 +6,8 @@ seals blocks (a private deployment has exactly one operator), so the
 chain is linear: no mining, no forks. Verification replays every block
 from the genesis allocation and checks hashes, links, Merkle roots,
 seals, and per-transaction signatures, nonces, and balances.
+The writer runs that same per-block check on every block it seals before
+returning it, and genesis is simply the height-0 seal of an empty list.
 
 Because Ed25519 has no public-key recovery, signature fields carry the
 32-byte public key followed by the 64-byte detached signature; verifiers
@@ -252,16 +254,13 @@ class ChainState:
     accounts: Mapping[str, Account]
     head_hash: bytes
     head_height: int
-    genesis: tuple[tuple[str, int], ...]
+    authority: bytes  # public key that sealed genesis; it seals every block and earns the fees
 
     def account(self, address: str) -> Account:
         return self.accounts.get(address, Account(address))
 
     def total_balance(self) -> int:
         return sum(acct.balance for acct in self.accounts.values())
-
-    def genesis_total(self) -> int:
-        return sum(balance for _, balance in self.genesis)
 
     def accounts_digest(self) -> bytes:
         """Canonical encoding of the account map, for replay comparisons."""
@@ -353,31 +352,15 @@ def apply_tx(tx: Transaction, state: ChainState, sealer: str) -> ChainState:
     return replace(state, accounts=accounts)
 
 
-def make_genesis_block(sealer_key: SigningKey) -> Block:
-    """Height 0, all-zero parent, no transactions, fixed timestamp."""
-    unsealed = Block(
-        height=0,
-        prev_hash=ZERO_HASH,
-        merkle_root=merkle_root([]),
-        timestamp=GENESIS_TIMESTAMP,
-        transactions=(),
-        sealer_signature=b"",
-    )
-    return replace(unsealed, sealer_signature=_attach_signature(sealer_key, unsealed.seal_payload()))
-
-
-def genesis_state(genesis_config: Sequence[tuple[str, int]], genesis: Block) -> ChainState:
+def _pre_genesis(genesis_config: Sequence[tuple[str, int]], authority: bytes) -> ChainState:
+    """The state genesis extends: the allocation, below height 0."""
     accounts = {addr: Account(addr, balance=bal) for addr, bal in genesis_config}
-    return ChainState(
-        accounts=accounts,
-        head_hash=genesis.block_hash,
-        head_height=0,
-        genesis=tuple(genesis_config),
-    )
+    return ChainState(accounts=accounts, head_hash=ZERO_HASH, head_height=-1, authority=authority)
 
 
-def _replay(transactions: Sequence[Transaction], state: ChainState, sealer: str) -> ChainState:
+def _replay(transactions: Sequence[Transaction], state: ChainState) -> ChainState:
     """Verify and apply transactions in order; SealRejected on the first failure."""
+    sealer = derive_address(state.authority)
     for index, tx in enumerate(transactions):
         try:
             verify_tx(tx, state)
@@ -385,6 +368,22 @@ def _replay(transactions: Sequence[Transaction], state: ChainState, sealer: str)
         except Error as exc:
             raise SealRejected(index, exc) from exc
     return state
+
+
+def _accept(block: Block, state: ChainState) -> ChainState:
+    """The one block check: link, stored hash, Merkle root, seal, then replay."""
+    if block.height != state.head_height + 1:
+        raise BrokenLink(f"height {block.height} does not follow {state.head_height}")
+    if block.prev_hash != state.head_hash:
+        raise BrokenLink("prev_hash does not match parent block hash")
+    if block.claimed_hash is not None and block.claimed_hash != block.block_hash:
+        raise BlockHashMismatch("stored block hash does not match recomputed hash")
+    if merkle_root([tx.tx_hash for tx in block.transactions]) != block.merkle_root:
+        raise MerkleRootMismatch("transaction list does not produce the stored root")
+    if _check_signature(block.sealer_signature, block.seal_payload(), BadSealerSignature) != state.authority:
+        raise BadSealerSignature("sealed by a key other than the chain authority")
+    state = _replay(block.transactions, state)
+    return replace(state, head_hash=block.block_hash, head_height=block.height)
 
 
 def seal_block(
@@ -398,8 +397,11 @@ def seal_block(
     Each transaction is verified against the incrementally updated state in
     list order; the first failure raises SealRejected with its index and
     leaves the input state untouched. An empty list seals an empty block.
+    A non-authority key is refused before signing, and the block is
+    returned only once the verifier's own check accepts it.
     """
-    new_state = _replay(pending, state, sealer_key.address)
+    if sealer_key.public_bytes != state.authority:
+        raise BadSealerSignature("sealer key is not the chain authority that sealed genesis")
     unsealed = Block(
         height=state.head_height + 1,
         prev_hash=state.head_hash,
@@ -409,24 +411,10 @@ def seal_block(
         sealer_signature=b"",
     )
     block = replace(unsealed, sealer_signature=_attach_signature(sealer_key, unsealed.seal_payload()))
-    new_state = replace(new_state, head_hash=block.block_hash, head_height=block.height)
-    return block, new_state
+    return block, _accept(block, state)
 
 
-def _check_seal(block: Block, authority_key: bytes | None, expected_sealer: str | None) -> bytes:
-    public_key = _check_signature(block.sealer_signature, block.seal_payload(), BadSealerSignature)
-    if authority_key is not None and public_key != authority_key:
-        raise BadSealerSignature("sealed by a key other than the chain authority")
-    if expected_sealer is not None and derive_address(public_key) != expected_sealer:
-        raise BadSealerSignature("sealer address does not match the configured authority")
-    return public_key
-
-
-def verify_chain(
-    blocks: Sequence[Block],
-    genesis_config: Sequence[tuple[str, int]],
-    expected_sealer: str | None = None,
-) -> ChainState:
+def verify_chain(blocks: Sequence[Block], genesis_config: Sequence[tuple[str, int]]) -> ChainState:
     """Replay a chain from genesis, checking every derived quantity.
 
     The authority is the key that sealed the genesis block; every later
@@ -436,41 +424,16 @@ def verify_chain(
     if not blocks:
         raise ChainVerificationError(0, MalformedBlock("chain has no genesis block"))
     genesis = blocks[0]
-    if genesis.height != 0 or genesis.prev_hash != ZERO_HASH:
-        raise ChainVerificationError(genesis.height, BrokenLink("genesis must have height 0 and all-zero prev_hash"))
-    if genesis.transactions:
-        raise ChainVerificationError(0, MalformedBlock("genesis block must not carry transactions"))
-    if genesis.timestamp != GENESIS_TIMESTAMP:
-        raise ChainVerificationError(0, MalformedBlock("genesis timestamp must be 0"))
-    try:
-        authority_key = _check_seal(genesis, None, expected_sealer)
-    except Error as exc:
-        raise ChainVerificationError(0, exc) from exc
-    sealer = derive_address(authority_key)
-
-    state = genesis_state(genesis_config, genesis)
-    prev = genesis
-    for index, block in enumerate(blocks):
-        height = block.height
+    if genesis.transactions or genesis.timestamp != GENESIS_TIMESTAMP:
+        raise ChainVerificationError(0, MalformedBlock("genesis must have no transactions and timestamp 0"))
+    state = _pre_genesis(genesis_config, genesis.sealer_signature[:PUBLIC_KEY_SIZE])
+    for block in blocks:
         try:
-            if index > 0:
-                if height != prev.height + 1:
-                    raise BrokenLink(f"height {height} does not follow {prev.height}")
-                if block.prev_hash != prev.block_hash:
-                    raise BrokenLink("prev_hash does not match parent block hash")
-            if block.claimed_hash is not None and block.claimed_hash != block.block_hash:
-                raise BlockHashMismatch("stored block hash does not match recomputed hash")
-            if merkle_root([tx.tx_hash for tx in block.transactions]) != block.merkle_root:
-                raise MerkleRootMismatch("transaction list does not produce the stored root")
-            if index > 0:
-                _check_seal(block, authority_key, expected_sealer)
-                state = _replay(block.transactions, state, sealer)
-                state = replace(state, head_hash=block.block_hash, head_height=height)
+            state = _accept(block, state)
         except SealRejected as exc:
-            raise ChainVerificationError(height, exc.cause) from exc
+            raise ChainVerificationError(block.height, exc.cause) from exc
         except Error as exc:
-            raise ChainVerificationError(height, exc) from exc
-        prev = block
+            raise ChainVerificationError(block.height, exc) from exc
     return state
 
 
@@ -489,16 +452,10 @@ def query_transactions(
     blocks: Iterable[Block],
     sender: str | None = None,
     recipient: str | None = None,
-    height_range: tuple[int | None, int | None] | None = None,
 ) -> list[TxRow]:
-    """Filter transactions by address and height, preserving chain order."""
-    lo, hi = height_range if height_range else (None, None)
+    """Filter transactions by address, preserving chain order."""
     rows = []
     for block in blocks:
-        if lo is not None and block.height < lo:
-            continue
-        if hi is not None and block.height > hi:
-            continue
         for tx in block.transactions:
             if sender is not None and tx.sender != sender:
                 continue
@@ -551,16 +508,9 @@ class Chain:
     applied block.
     """
 
-    def __init__(
-        self,
-        blocks: list[Block],
-        state: ChainState,
-        genesis_config: Sequence[tuple[str, int]],
-        path: Path | None = None,
-    ):
+    def __init__(self, blocks: list[Block], state: ChainState, path: Path | None = None):
         self._blocks = blocks
         self._state = state
-        self._genesis_config = tuple(genesis_config)
         self._path = Path(path) if path is not None else None
         self._write_lock = threading.Lock()
 
@@ -571,23 +521,18 @@ class Chain:
         sealer_key: SigningKey,
         path: str | Path | None = None,
     ) -> "Chain":
-        genesis = make_genesis_block(sealer_key)
-        state = genesis_state(genesis_config, genesis)
-        chain = cls([genesis], state, genesis_config, path)
+        pre_genesis = _pre_genesis(genesis_config, sealer_key.public_bytes)
+        genesis, state = seal_block([], pre_genesis, sealer_key, GENESIS_TIMESTAMP)
+        chain = cls([genesis], state, path)
         if chain._path is not None:
             write_chain(chain._path, chain._blocks)
         return chain
 
     @classmethod
-    def open(
-        cls,
-        path: str | Path,
-        genesis_config: Sequence[tuple[str, int]],
-        expected_sealer: str | None = None,
-    ) -> "Chain":
+    def open(cls, path: str | Path, genesis_config: Sequence[tuple[str, int]]) -> "Chain":
         blocks = load_chain(path)
-        state = verify_chain(blocks, genesis_config, expected_sealer)
-        return cls(blocks, state, genesis_config, Path(path))
+        state = verify_chain(blocks, genesis_config)
+        return cls(blocks, state, Path(path))
 
     @property
     def state(self) -> ChainState:
@@ -603,13 +548,9 @@ class Chain:
 
     def state_after(self, pending: Sequence[Transaction]) -> ChainState:
         """The state once pending is sealed on the head; SealRejected if it cannot be."""
-        return _replay(pending, self._state, derive_address(self._blocks[0].sealer_signature[:PUBLIC_KEY_SIZE]))
+        return _replay(pending, self._state)
 
     def seal(self, pending: Sequence[Transaction], sealer_key: SigningKey, timestamp: int | None = None) -> Block:
-        # verify_chain rejects any block not sealed by the genesis key, and the
-        # chain file is append-only, so refuse before signing or writing
-        if sealer_key.public_bytes != self._blocks[0].sealer_signature[:PUBLIC_KEY_SIZE]:
-            raise BadSealerSignature("sealer key is not the chain authority that sealed genesis")
         with self._write_lock:
             block, new_state = seal_block(pending, self._state, sealer_key, timestamp)
             if self._path is not None:

@@ -128,7 +128,7 @@ def test_criterion_4_conservation():
         sealer = seeded_key(49)
         genesis_config = tuple(sorted((key.address, 10**21) for key in pool))
         chain = ledger.Chain.create(genesis_config, sealer)
-        total = chain.state.genesis_total()
+        total = sum(balance for _, balance in genesis_config)
         sent = 0
         while sent < 1000:
             state = chain.state
@@ -214,7 +214,7 @@ def test_criterion_7_rotation_bound():
     """k=8 over 24 readings gives 3 senders x 8; random (n, k) never exceed k."""
     with criterion(7, "rotation bound", budget_s=1.0):
         readings = telemetry.ingest_csv(FIXTURE_CSV)
-        state = ledger.ChainState(accounts={}, head_hash=b"\x00" * 32, head_height=0, genesis=())
+        state = ledger.ChainState(accounts={}, head_hash=b"\x00" * 32, head_height=0, authority=b"")
         receiver = seeded_key(3).address
 
         txs = telemetry.pump(readings, telemetry.RotationPolicy(8, sensor_pool(3)), receiver, state)
@@ -246,16 +246,14 @@ from pathlib import Path
 from thermoledger import telemetry
 from thermoledger.dagstore import ObjectStore, add_file
 from thermoledger.keys import SigningKey
-from thermoledger.ledger import (
-    build_and_sign_tx, genesis_state, make_genesis_block, merkle_root, seal_block,
-)
+from thermoledger.ledger import Chain, build_and_sign_tx, merkle_root, seal_block
 
 sealer = SigningKey.from_private_bytes(bytes([1]) * 32)
 sensor = SigningKey.from_private_bytes(bytes([2]) * 32)
 receiver = SigningKey.from_private_bytes(bytes([3]) * 32).address
 
-genesis = make_genesis_block(sealer)
-state = genesis_state(((sensor.address, 10**24),), genesis)
+chain = Chain.create(((sensor.address, 10**24),), sealer)
+genesis, state = chain.head, chain.state
 txs = [
     build_and_sign_tx(sensor, receiver, telemetry.encode_reading(Decimal("22.9")) + i, nonce=i)
     for i in range(3)

@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from thermoledger import ledger
+from thermoledger.keys import SigningKey
 from thermoledger.ledger import (
     BadSealerSignature,
     BlockHashMismatch,
@@ -20,8 +21,6 @@ from thermoledger.ledger import (
     write_genesis_config,
 )
 
-from .conftest import seeded_key
-
 
 @pytest.fixture
 def three_block_chain(chain, sensor, bms, sealer):
@@ -36,37 +35,69 @@ def three_block_chain(chain, sensor, bms, sealer):
     return chain
 
 
+def test_block_hashes_golden(three_block_chain):
+    # pins the chain format: any change to genesis, block or tx encoding,
+    # Merkle root or seal moves these hashes
+    assert [b.block_hash.hex() for b in three_block_chain.blocks] == [
+        "c87d6b16b66d30da7e81333e320102a740b438759b7b6e78dd700b32e285c0b8",
+        "38b7d7d2eb01726af531bad7f7db1343709e2464f9e5257847605dbcedb1e3c9",
+        "3b8239a0948d71caaa1697bac51f713d728adba65ff141d9339ba4862ab73531",
+    ]
+
+
 def test_fresh_chain_verifies(three_block_chain, genesis_config):
     state = verify_chain(three_block_chain.blocks, genesis_config)
     assert state.head_height == 2
-    assert state.total_balance() == state.genesis_total()
-
-
-def test_verify_pins_expected_sealer(three_block_chain, genesis_config, sealer):
-    verify_chain(three_block_chain.blocks, genesis_config, expected_sealer=sealer.address)
-    with pytest.raises(ChainVerificationError) as excinfo:
-        verify_chain(three_block_chain.blocks, genesis_config, expected_sealer=seeded_key(9).address)
-    assert isinstance(excinfo.value.cause, BadSealerSignature)
+    assert state.total_balance() == sum(balance for _, balance in genesis_config)
 
 
 def test_foreign_sealer_rejected(three_block_chain, genesis_config, sensor):
     # a block sealed by a non-authority key, even with a valid signature
     blocks = list(three_block_chain.blocks)
-    head = blocks[-1]
-    state = three_block_chain.state
-    forged, _ = ledger.seal_block([], state, sensor, timestamp=300)
+    unsealed = ledger.Block(
+        height=3,
+        prev_hash=blocks[-1].block_hash,
+        merkle_root=ledger.merkle_root([]),
+        timestamp=300,
+        transactions=(),
+        sealer_signature=b"",
+    )
+    forged = replace(unsealed, sealer_signature=sensor.public_bytes + sensor.sign(unsealed.seal_payload()))
     with pytest.raises(ChainVerificationError) as excinfo:
         verify_chain(blocks + [forged], genesis_config)
     assert excinfo.value.height == 3
     assert isinstance(excinfo.value.cause, BadSealerSignature)
 
 
-def test_chain_seal_refuses_foreign_key(genesis_config, sealer, sensor, tmp_path):
+@pytest.fixture
+def sign_calls(monkeypatch):
+    """Records every SigningKey.sign call while still signing."""
+    calls = []
+    real_sign = SigningKey.sign
+
+    def spy(key, payload):
+        calls.append(payload)
+        return real_sign(key, payload)
+
+    monkeypatch.setattr(SigningKey, "sign", spy)
+    return calls
+
+
+def test_seal_block_refuses_foreign_key_before_signing(three_block_chain, sensor, sign_calls):
+    # the writer must never produce a block its own verifier would reject
+    with pytest.raises(BadSealerSignature):
+        ledger.seal_block([], three_block_chain.state, sensor, timestamp=300)
+    assert sign_calls == []
+
+
+def test_chain_seal_refuses_foreign_key(genesis_config, sealer, sensor, tmp_path, sign_calls):
     path = tmp_path / "chain.jsonl"
     chain = ledger.Chain.create(genesis_config, sealer, path)
     before = path.read_bytes()
+    sign_calls.clear()
     with pytest.raises(BadSealerSignature):
         chain.seal([], sensor)
+    assert sign_calls == []
     assert path.read_bytes() == before
     assert len(chain.blocks) == 1
     chain.seal([], sealer)

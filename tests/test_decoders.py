@@ -36,11 +36,16 @@ def _pending_line(tmp_path, raw):
     cli._load_pending(path)
 
 
-def _dag_node(tmp_path, raw):
+def _store_raw(tmp_path, raw) -> tuple[dagstore.ObjectStore, str]:
     store = dagstore.ObjectStore(tmp_path / "objects")
     hash = hashlib.sha256(raw).hexdigest()
     (store.root / hash[:2]).mkdir()
     (store.root / hash[:2] / hash[2:]).write_bytes(raw)
+    return store, hash
+
+
+def _dag_node(tmp_path, raw):
+    store, hash = _store_raw(tmp_path, raw)
     store.get(hash)
 
 
@@ -53,7 +58,7 @@ def _key_file(tmp_path, raw):
 # name -> (valid record, its byte field, decode(tmp_path, raw), expected error)
 DECODERS = {
     "block": (
-        ledger.make_genesis_block(seeded_key(1)).to_obj(),
+        ledger.Chain.create((), seeded_key(1)).head.to_obj(),
         "sealer_signature", _block_line, ledger.MalformedBlock,
     ),
     "pending": (
@@ -119,6 +124,35 @@ def test_decoder_rejects_hostile_record(tmp_path, decoder, hostile):
     obj, field, decode, error = DECODERS[decoder]
     with pytest.raises(error):
         decode(tmp_path, HOSTILE[hostile](obj, field))
+
+
+# Well-formed node records whose shape DagNode refuses.
+INVALID_NODES = {
+    "one-link interior node": {"data": "", "links": [{"hash": "11" * 32, "name": "", "size": "1"}]},
+    "leaf over 256 KiB": {"data": base64.b64encode(bytes(dagstore.CHUNK_SIZE + 1)).decode(), "links": []},
+}
+
+
+def _fetch(store, hash, tmp_path):
+    with exchange.serve(store) as server:
+        exchange.fetch_dag(server.endpoint, hash, dagstore.ObjectStore(tmp_path / "fetched"))
+
+
+# name -> (read(store, hash, tmp_path), expected error)
+NODE_READERS = {
+    "get": (lambda store, hash, _: store.get(hash), dagstore.CorruptObject),
+    "audit": (lambda store, hash, _: store.audit(), dagstore.CorruptObject),
+    "fetch_dag": (_fetch, exchange.ProtocolError),
+}
+
+
+@pytest.mark.parametrize("node", INVALID_NODES)
+@pytest.mark.parametrize("reader", NODE_READERS)
+def test_node_readers_reject_invalid_shape(tmp_path, reader, node):
+    store, hash = _store_raw(tmp_path, _encode(INVALID_NODES[node]))
+    read, error = NODE_READERS[reader]
+    with pytest.raises(error):
+        read(store, hash, tmp_path)
 
 
 # Record decoding belongs to canonical.py alone.

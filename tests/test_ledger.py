@@ -17,8 +17,8 @@ from thermoledger.ledger import (
     apply_tx,
     build_and_sign_tx,
     merkle_root,
-    query_transactions,
     seal_block,
+    verify_chain,
     verify_tx,
 )
 
@@ -109,7 +109,7 @@ class TestTransaction:
 
 
 def _state(accounts: dict[str, Account]) -> ChainState:
-    return ChainState(accounts=accounts, head_hash=b"\x00" * 32, head_height=0, genesis=())
+    return ChainState(accounts=accounts, head_hash=b"\x00" * 32, head_height=0, authority=b"")
 
 
 class TestVerifyAndApply:
@@ -219,11 +219,6 @@ class TestQuery:
         heights = [row.height for row in rows]
         assert heights == sorted(heights)
 
-    def test_height_range(self, chain, sensor, bms, sealer):
-        chain = self._filled_chain(chain, sensor, bms, sealer)
-        rows = query_transactions(chain.blocks, height_range=(2, 2))
-        assert [row.value for row in rows] == [100, 101]
-
 
 class TestConservation:
     @settings(max_examples=25, deadline=None)
@@ -234,7 +229,7 @@ class TestConservation:
         alloc = {key.address: 10**6 for key in pool}
         genesis = tuple(sorted(alloc.items()))
         chain = ledger.Chain.create(genesis, sealer)
-        total = chain.state.genesis_total()
+        total = sum(alloc.values())
         n_blocks = data.draw(st.integers(0, 3))
         for _ in range(n_blocks):
             txs = []
@@ -260,6 +255,7 @@ class TestConservation:
                 nonces[sender.address] += 1
             chain.seal(txs, sealer, timestamp=0)
             assert chain.state.total_balance() == total
+        assert verify_chain(chain.blocks, genesis).accounts_digest() == chain.state.accounts_digest()
 
 
 class TestNonceMonotonicity:

@@ -185,7 +185,7 @@ class TestPump:
     @given(st.integers(0, 30), st.integers(1, 9))
     def test_rotation_bound_property(self, n, k):
         pool = sensor_pool(-(-max(n, 1) // k) + 1)
-        state = ledger.ChainState(accounts={}, head_hash=b"\x00" * 32, head_height=0, genesis=())
+        state = ledger.ChainState(accounts={}, head_hash=b"\x00" * 32, head_height=0, authority=b"")
         receiver = sensor_pool(1, first_seed=99)[0].address
         txs = pump(_readings(["21.0"] * n), RotationPolicy(k, pool), receiver, state)
         counts = {}
