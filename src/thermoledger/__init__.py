@@ -31,7 +31,6 @@ from .ledger import (
     verify_tx,
 )
 from .telemetry import (
-    EncodingPolicy,
     RotationPolicy,
     SensorReading,
     decode_value,
@@ -46,7 +45,6 @@ __all__ = [
     "Chain",
     "ChainState",
     "DagNode",
-    "EncodingPolicy",
     "Error",
     "Identity",
     "InvalidKey",

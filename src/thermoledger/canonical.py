@@ -116,6 +116,14 @@ def parse_object(raw: bytes, keys: set[str] | None, what: str) -> dict:
     return obj
 
 
+def parse_canonical(raw: bytes, keys: set[str] | None, what: str) -> dict:
+    """parse_object, and ``raw`` must be its canonical_json: one value, one byte string."""
+    obj = parse_object(raw, keys, what)
+    if canonical_json(obj) != raw:
+        raise ValueError(f"{what} bytes are not in canonical form")
+    return obj
+
+
 def b64(data: bytes) -> str:
     return base64.b64encode(data).decode("ascii")
 
@@ -136,7 +144,7 @@ def parse_b64(text: str, what: str) -> bytes:
 
 
 def read_records(path: str | Path, from_obj: Callable[[dict], object], error: Callable[[str], Exception]) -> list:
-    """Parse one JSON object per line, no blank lines; ``error("line N: ...")``."""
+    """Parse one canonical JSON object per line, no blank lines; ``error("line N: ...")``."""
     records = []
     with open(path, "rb") as fp:
         for lineno, line in enumerate(fp, start=1):
@@ -144,7 +152,7 @@ def read_records(path: str | Path, from_obj: Callable[[dict], object], error: Ca
             try:
                 if not line:
                     raise ValueError("empty line")
-                records.append(from_obj(parse_object(line, None, "record")))
+                records.append(from_obj(parse_canonical(line, None, "record")))
             except ValueError as exc:
                 raise error(f"line {lineno}: {exc}") from exc
     return records

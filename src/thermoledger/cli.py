@@ -17,7 +17,6 @@ error. Domain failures print one line ``<Category>: <detail>`` on stderr.
 from __future__ import annotations
 
 import csv as csv_mod
-import functools
 import io
 import sys
 from dataclasses import dataclass
@@ -29,7 +28,7 @@ import click
 from . import dagstore, envelope, exchange, ledger, telemetry
 from .canonical import read_records
 from .errors import Error
-from .keys import SigningKey, load_signing_key, require_address, save_signing_key
+from .keys import SigningKey, load_signing_key, load_signing_public, require_address, save_signing_key
 
 DEFAULT_PORT = 9464
 
@@ -38,8 +37,6 @@ DEFAULT_PORT = 9464
 class Config:
     data_dir: Path
     sealer_key_path: Path
-    gas_limit: int
-    gas_price: int
     offset_c: Decimal
 
     @property
@@ -58,30 +55,29 @@ class Config:
     def objects_dir(self) -> Path:
         return self.data_dir / "objects"
 
-    @property
-    def encoding_policy(self) -> telemetry.EncodingPolicy:
-        return telemetry.EncodingPolicy(offset_c=self.offset_c)
-
     def open_chain(self) -> ledger.Chain:
         if not self.chain_path.exists():
             raise click.UsageError(f"no chain at {self.chain_path}; run init first")
         if not self.genesis_path.exists():
             raise click.UsageError(f"missing genesis config {self.genesis_path}")
-        return ledger.Chain.open(self.chain_path, ledger.load_genesis_config(self.genesis_path))
+        chain = ledger.Chain.open(self.chain_path, ledger.load_genesis_config(self.genesis_path))
+        # pinned to the sealer's public half (mode 0644), so reads never need the private key
+        public_path = self.sealer_key_path.with_name(self.sealer_key_path.name + ".pub")
+        if public_path.exists() and load_signing_public(public_path) != chain.state.authority:
+            raise ledger.BadSealerSignature(f"chain was sealed by a key other than {public_path}")
+        return chain
 
 
-def _domain_errors(fn):
-    """Map domain errors to exit code 1 with a parsable category line."""
+class _Main(click.Group):
+    """The one error boundary: a domain error in any command exits 1 with one
+    parsable ``<Category>: <detail>`` line on stderr."""
 
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
+    def invoke(self, ctx):
         try:
-            return fn(*args, **kwargs)
+            return super().invoke(ctx)
         except Error as exc:
             click.echo(f"{type(exc).__name__}: {exc}", err=True)
             sys.exit(1)
-
-    return wrapper
 
 
 def _parse_offset(ctx, param, value: str) -> Decimal:
@@ -94,7 +90,7 @@ def _parse_offset(ctx, param, value: str) -> Decimal:
     return offset
 
 
-@click.group()
+@click.group(cls=_Main)
 @click.option(
     "--data-dir",
     envvar="THERMOLEDGER_DATA_DIR",
@@ -104,17 +100,13 @@ def _parse_offset(ctx, param, value: str) -> Decimal:
     help="Directory holding the chain, keys, and object store.",
 )
 @click.option("--sealer-key", type=click.Path(path_type=Path), default=None, help="Sealer key file [default: DATA_DIR/sealer.key].")
-@click.option("--gas-limit", default=ledger.DEFAULT_GAS_LIMIT, show_default=True)
-@click.option("--gas-price", default=ledger.DEFAULT_GAS_PRICE, show_default=True)
 @click.option("--offset-c", default="0", show_default=True, callback=_parse_offset, help="Decimal offset added to temperatures before encoding.")
 @click.pass_context
-def main(ctx, data_dir: Path, sealer_key: Path | None, gas_limit: int, gas_price: int, offset_c: Decimal):
+def main(ctx, data_dir: Path, sealer_key: Path | None, offset_c: Decimal):
     """Private temperature ledger and encrypted record-file exchange."""
     ctx.obj = Config(
         data_dir=data_dir,
         sealer_key_path=sealer_key if sealer_key is not None else data_dir / "sealer.key",
-        gas_limit=gas_limit,
-        gas_price=gas_price,
         offset_c=offset_c,
     )
 
@@ -122,7 +114,6 @@ def main(ctx, data_dir: Path, sealer_key: Path | None, gas_limit: int, gas_price
 @main.command()
 @click.option("--kind", type=click.Choice(["signing", "encryption"]), default="signing", show_default=True)
 @click.option("--out", required=True, type=click.Path(path_type=Path), help="Private key path; the public half goes to OUT.pub.")
-@_domain_errors
 def keygen(kind: str, out: Path):
     """Generate a keypair; print the address or fingerprint."""
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -137,13 +128,10 @@ def keygen(kind: str, out: Path):
 
 
 @main.command()
-@click.option("--genesis", "genesis_file", required=True, type=click.Path(path_type=Path))
+@click.option("--genesis", "genesis_file", required=True, type=click.Path(exists=True, dir_okay=False, path_type=Path))
 @click.pass_obj
-@_domain_errors
 def init(config: Config, genesis_file: Path):
     """Create a new chain from a genesis allocation file."""
-    if not genesis_file.exists():
-        raise click.UsageError(f"genesis file not found: {genesis_file}")
     if config.chain_path.exists():
         raise click.ClickException(f"chain already exists at {config.chain_path}")
     if not config.sealer_key_path.exists():
@@ -160,17 +148,14 @@ def init(config: Config, genesis_file: Path):
 
 
 @main.command()
-@click.option("--csv", "csv_file", required=True, type=click.Path(path_type=Path))
+@click.option("--csv", "csv_file", required=True, type=click.Path(exists=True, dir_okay=False, path_type=Path))
 @click.option("--to", "receiver", required=True, help="Receiver (management system) address.")
 @click.option("--rotate-every", type=int, default=None, help="Switch sender address after this many transactions.")
 @click.option("--sender-key", "sender_keys", multiple=True, required=True, type=click.Path(path_type=Path), help="Sender key file; repeat to build the rotation pool in order.")
 @click.option("--no-seal", is_flag=True, help="Queue transactions in pending.jsonl instead of sealing a block.")
 @click.pass_obj
-@_domain_errors
 def ingest(config: Config, csv_file: Path, receiver: str, rotate_every: int | None, sender_keys: tuple[Path, ...], no_seal: bool):
     """Ingest a temperature CSV as one block of transactions."""
-    if not csv_file.exists():
-        raise click.UsageError(f"csv file not found: {csv_file}")
     receiver = _address_arg(receiver)
     chain = config.open_chain()
     readings = telemetry.ingest_csv(csv_file)
@@ -180,9 +165,7 @@ def ingest(config: Config, csv_file: Path, receiver: str, rotate_every: int | No
         rotation,
         receiver,
         chain.state_after(_load_pending(config.pending_path)),  # nonces continue after the queue
-        policy=config.encoding_policy,
-        gas_limit=config.gas_limit,
-        gas_price=config.gas_price,
+        offset_c=config.offset_c,
     )
     if no_seal:
         with open(config.pending_path, "ab") as fp:
@@ -197,7 +180,6 @@ def ingest(config: Config, csv_file: Path, receiver: str, rotate_every: int | No
 
 @main.command()
 @click.pass_obj
-@_domain_errors
 def seal(config: Config):
     """Seal queued pending transactions (an empty queue seals an empty block)."""
     chain = config.open_chain()
@@ -217,7 +199,6 @@ def _load_pending(path: Path) -> list[ledger.Transaction]:
 
 @main.command()
 @click.pass_obj
-@_domain_errors
 def verify(config: Config):
     """Replay and verify the whole chain; exit 0 if sound."""
     chain = config.open_chain()
@@ -230,7 +211,6 @@ def verify(config: Config):
 @click.option("--format", "fmt", type=click.Choice(["tsv", "csv"]), default="tsv", show_default=True)
 @click.option("--raw", is_flag=True, help="Print raw integer values instead of decoded temperatures.")
 @click.pass_obj
-@_domain_errors
 def explorer(config: Config, receiver: str | None, sender: str | None, fmt: str, raw: bool):
     """Print the transaction table: Tx Hash, Block, From, To, Value."""
     chain = config.open_chain()
@@ -245,7 +225,7 @@ def explorer(config: Config, receiver: str | None, sender: str | None, fmt: str,
         if raw:
             value = str(row.value)
         else:
-            value = telemetry.format_temperature(telemetry.decode_value(row.value, config.encoding_policy))
+            value = telemetry.format_temperature(telemetry.decode_value(row.value, config.offset_c))
         writer.writerow(["0x" + row.tx_hash.hex(), str(row.height), row.sender, row.recipient, value])
     click.echo(out.getvalue(), nl=False)
 
@@ -253,7 +233,6 @@ def explorer(config: Config, receiver: str | None, sender: str | None, fmt: str,
 @main.command()
 @click.argument("address")
 @click.pass_obj
-@_domain_errors
 def balance(config: Config, address: str):
     """Print an account's balance in base units."""
     chain = config.open_chain()
@@ -273,14 +252,11 @@ def file():
 
 
 @file.command()
-@click.option("--in", "in_path", required=True, type=click.Path(path_type=Path))
+@click.option("--in", "in_path", required=True, type=click.Path(exists=True, dir_okay=False, path_type=Path))
 @click.option("--recipient", required=True, type=click.Path(path_type=Path), help="Recipient's encryption .pub file.")
 @click.pass_obj
-@_domain_errors
 def publish(config: Config, in_path: Path, recipient: Path):
     """Encrypt a file for one recipient and store it; print the root hash."""
-    if not in_path.exists():
-        raise click.UsageError(f"input file not found: {in_path}")
     store = dagstore.ObjectStore(config.objects_dir)
     sealed = envelope.encrypt_for(envelope.load_recipient_public(recipient), in_path.read_bytes())
     root = dagstore.add_file(store, sealed)
@@ -293,7 +269,6 @@ def publish(config: Config, in_path: Path, recipient: Path):
 @click.option("--identity", "identity_path", required=True, type=click.Path(path_type=Path), help="Recipient's private encryption key file.")
 @click.option("--out", "out_path", required=True, type=click.Path(path_type=Path))
 @click.pass_obj
-@_domain_errors
 def fetch(config: Config, root: str, peer: str, identity_path: Path, out_path: Path):
     """Fetch a published file by root hash, verify, decrypt, and write it."""
     host, _, port_text = peer.rpartition(":")
@@ -311,7 +286,6 @@ def fetch(config: Config, root: str, peer: str, identity_path: Path, out_path: P
 @click.option("--port", envvar="THERMOLEDGER_PORT", default=DEFAULT_PORT, show_default=True, help="Listen port.")
 @click.option("--host", default="0.0.0.0", show_default=True)
 @click.pass_obj
-@_domain_errors
 def serve(config: Config, port: int, host: str):
     """Serve the local object store to peers until interrupted."""
     store = dagstore.ObjectStore(config.objects_dir)

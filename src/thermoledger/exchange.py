@@ -183,13 +183,13 @@ class PeerServer(socketserver.ThreadingTCPServer):
         self.stop()
 
 
-def serve(store, host: str = "127.0.0.1", port: int = 0) -> PeerServer:
-    """Start serving a store in a background thread; returns the handle.
+def serve(store) -> PeerServer:
+    """Serve a store on 127.0.0.1 in a background thread; returns the handle.
 
-    Anything with a ``get_bytes(hash) -> bytes`` method can be served.
-    Pass port 0 for an ephemeral port; read it back from ``endpoint``.
+    Anything with a ``get_bytes(hash) -> bytes`` method can be served. The
+    port is ephemeral; read it back from ``endpoint``.
     """
-    return PeerServer(store, (host, port)).start()
+    return PeerServer(store, ("127.0.0.1", 0)).start()
 
 
 class _PeerConnection:
@@ -238,7 +238,7 @@ def fetch_dag(endpoint: tuple[str, int], root: str, store: ObjectStore) -> int:
     try:
         transferred = 0
 
-        def obtain(hash: str):
+        def obtain(hash: str, child: bool):
             nonlocal transferred
             if store.contains(hash):
                 return store.get(hash)
@@ -249,13 +249,16 @@ def fetch_dag(endpoint: tuple[str, int], root: str, store: ObjectStore) -> int:
                 # hash already verified, so these bytes genuinely are the
                 # named object; it just is not a DAG node
                 raise ProtocolError(f"object {hash} is not a canonical node: {exc}") from exc
+            if child and not node.is_leaf:
+                # the DAG has two levels; its children would never be fetched
+                raise ProtocolError(f"child {hash} is an interior node")
             store.put(node)
             transferred += 1
             return node
 
-        root_node = obtain(root)
+        root_node = obtain(root, child=False)
         for link in root_node.links:
-            obtain(link.hash)
+            obtain(link.hash, child=True)
         return transferred
     finally:
         conn.close()

@@ -43,12 +43,8 @@ def derive_address(public_key: bytes) -> str:
     return "0x" + sha256(bytes(public_key))[-20:].hex()
 
 
-def is_address(text: str) -> bool:
-    return isinstance(text, str) and _ADDRESS_RE.fullmatch(text) is not None
-
-
 def require_address(text: str) -> str:
-    if not is_address(text):
+    if not isinstance(text, str) or _ADDRESS_RE.fullmatch(text) is None:
         raise ValueError(f"not a valid address: {text!r}")
     return text
 

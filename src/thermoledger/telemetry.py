@@ -7,7 +7,8 @@ exact decimals end to end (parsed with at most 3 fractional digits), never
 as binary floats, so the encode/decode round trip is lossless.
 
 Transfers cannot be negative; sub-zero climates opt into a documented
-affine offset added before scaling (and subtracted on decode).
+affine offset: value = (t + offset_c) * SCALE, where offset_c is a
+non-negative Decimal added before scaling and subtracted on decode.
 """
 
 from __future__ import annotations
@@ -21,13 +22,7 @@ from typing import IO, Iterable, Sequence
 
 from .errors import Error
 from .keys import SigningKey, require_address
-from .ledger import (
-    DEFAULT_GAS_LIMIT,
-    DEFAULT_GAS_PRICE,
-    ChainState,
-    Transaction,
-    build_and_sign_tx,
-)
+from .ledger import ChainState, Transaction, build_and_sign_tx
 
 SCALE = 10**18
 MAX_FRACTION_DIGITS = 3
@@ -68,17 +63,6 @@ class SensorReading:
 
 
 @dataclass(frozen=True)
-class EncodingPolicy:
-    """Affine fixed-point codec: value = (t + offset_c) * SCALE."""
-
-    offset_c: Decimal = Decimal(0)
-
-    def __post_init__(self):
-        if self.offset_c < 0:
-            raise ValueError("offset_c must be non-negative")
-
-
-@dataclass(frozen=True)
 class RotationPolicy:
     """Advance to the next pool sender after every rotate_every transactions.
 
@@ -109,22 +93,22 @@ def parse_temperature(text: str) -> Decimal:
     return value
 
 
-def encode_reading(temperature_c: Decimal, policy: EncodingPolicy = EncodingPolicy()) -> int:
+def encode_reading(temperature_c: Decimal, offset_c: Decimal = Decimal(0)) -> int:
     """Scale a temperature to an exact integer transfer amount."""
-    shifted = temperature_c + policy.offset_c
+    shifted = temperature_c + offset_c
     if shifted < 0:
-        raise NegativeValue(f"{temperature_c} + offset {policy.offset_c} is negative")
+        raise NegativeValue(f"{temperature_c} + offset {offset_c} is negative")
     with localcontext() as ctx:
         ctx.prec = 80
         value = (shifted * SCALE).to_integral_value()
     return int(value)
 
 
-def decode_value(value: int, policy: EncodingPolicy = EncodingPolicy()) -> Decimal:
+def decode_value(value: int, offset_c: Decimal = Decimal(0)) -> Decimal:
     """Exact inverse of encode_reading."""
     with localcontext() as ctx:
         ctx.prec = 80
-        return Decimal(value) / SCALE - policy.offset_c
+        return Decimal(value) / SCALE - offset_c
 
 
 def format_temperature(value: Decimal) -> str:
@@ -177,15 +161,14 @@ def pump(
     rotation: RotationPolicy,
     receiver: str,
     state: ChainState,
-    policy: EncodingPolicy = EncodingPolicy(),
-    gas_limit: int = DEFAULT_GAS_LIMIT,
-    gas_price: int = DEFAULT_GAS_PRICE,
+    offset_c: Decimal = Decimal(0),
 ) -> list[Transaction]:
     """Turn readings into signed transactions, one per reading, in order.
 
     The sender advances to the next pool key after every rotate_every
     transactions; nonces continue from the current chain state and are
-    tracked per sender across the batch.
+    tracked per sender across the batch. Transactions carry
+    build_and_sign_tx's default (zero) fee.
     """
     require_address(receiver)
     k = rotation.rotate_every
@@ -204,10 +187,8 @@ def pump(
         tx = build_and_sign_tx(
             key,
             receiver,
-            encode_reading(reading.temperature_c, policy),
+            encode_reading(reading.temperature_c, offset_c),
             next_nonce[address],
-            gas_limit=gas_limit,
-            gas_price=gas_price,
         )
         next_nonce[address] += 1
         txs.append(tx)

@@ -8,9 +8,10 @@ from decimal import Decimal
 import pytest
 from click.testing import CliRunner
 
-from thermoledger import exchange
+from thermoledger import exchange, ledger
 from thermoledger.cli import main
 from thermoledger.dagstore import ObjectStore
+from thermoledger.keys import SigningKey
 
 from .conftest import FIXTURE_CSV, FIXTURE_VALUES, PER_SENSOR_ALLOCATION
 
@@ -37,6 +38,12 @@ def workspace(tmp_path):
     }))
     run("--data-dir", data, "init", "--genesis", genesis)
     return {"data": data, "sensor": sensor_addr, "sealer": sealer_addr, "bms": bms_addr}
+
+
+def _reseal_genesis(data):
+    """Replace the chain with one whose genesis another key sealed."""
+    (data / "chain.jsonl").unlink()
+    ledger.Chain.create(ledger.load_genesis_config(data / "genesis.json"), SigningKey.generate(), data / "chain.jsonl")
 
 
 def _ingest_fixture(ws, *extra):
@@ -190,6 +197,26 @@ class TestChainCommands:
         assert (data / "chain.jsonl").read_bytes() == before
         run("--data-dir", data, "verify")
 
+    def test_verify_refuses_genesis_sealed_by_another_key(self, workspace):
+        data = workspace["data"]
+        _reseal_genesis(data)
+        (data / "sealer.key").unlink()  # the public half alone pins the authority
+        result = run("--data-dir", data, "verify", expect=1)
+        assert result.stderr.startswith("BadSealerSignature: ")
+
+    def test_offset_option(self, workspace):
+        data = workspace["data"]
+        run(
+            "--data-dir", data, "--offset-c", "40", "ingest", "--csv", FIXTURE_CSV,
+            "--to", workspace["bms"], "--sender-key", data / "sensor.key",
+        )
+        raw = run("--data-dir", data, "explorer", "--raw", "--format", "csv").output
+        assert list(csv.reader(io.StringIO(raw)))[1][4] == "62900000000000000000"
+        table = run("--data-dir", data, "--offset-c", "40", "explorer", "--format", "csv").output
+        assert [Decimal(r[4]) for r in list(csv.reader(io.StringIO(table)))[1:]] == [Decimal(v) for v in FIXTURE_VALUES]
+        for bad in ("-1", "x"):
+            assert runner.invoke(main, ["--data-dir", str(data), "--offset-c", bad, "verify"]).exit_code == 2
+
     def test_malformed_sealer_key_is_domain_error(self, tmp_path):
         bad_key = tmp_path / "bad.key"
         bad_key.write_text(json.dumps({"kind": "signing", "private_key": "0xzz"}))
@@ -213,6 +240,90 @@ class TestChainCommands:
     def test_bad_address_is_usage_error(self, workspace):
         result = runner.invoke(main, ["--data-dir", str(workspace["data"]), "balance", "0x1234"])
         assert result.exit_code == 2
+
+
+def _bad_genesis(ws, tmp_path):
+    genesis = tmp_path / "bad-genesis.json"
+    genesis.write_text('{"0x1234": "1"}')
+    return ["--data-dir", tmp_path / "fresh", "--sealer-key", ws["data"] / "sealer.key", "init", "--genesis", genesis]
+
+
+def _bad_csv(ws, tmp_path):
+    rows = tmp_path / "bad.csv"
+    rows.write_text("sensor_id,timestamp,temperature_c\ns1,yesterday,22.9\n")
+    return ["--data-dir", ws["data"], "ingest", "--csv", rows, "--to", ws["bms"], "--sender-key", ws["data"] / "sensor.key"]
+
+
+def _foreign_sealer(ws, tmp_path):
+    run("keygen", "--out", tmp_path / "other.key")
+    return ["--data-dir", ws["data"], "--sealer-key", tmp_path / "other.key", "seal"]
+
+
+def _tampered(ws, tmp_path):
+    chain = ws["data"] / "chain.jsonl"
+    chain.write_bytes(chain.read_bytes().replace(b'"timestamp":"0"', b'"timestamp":"1"'))
+    return ["--data-dir", ws["data"], "verify"]
+
+
+def _spaced(ws, tmp_path):
+    chain = ws["data"] / "chain.jsonl"
+    chain.write_bytes(json.dumps(json.loads(chain.read_bytes()), sort_keys=True).encode() + b"\n")
+    return ["--data-dir", ws["data"], "explorer"]
+
+
+def _resealed(ws, tmp_path):
+    _reseal_genesis(ws["data"])
+    return ["--data-dir", ws["data"], "balance", ws["bms"]]
+
+
+def _wrong_recipient_file(ws, tmp_path):
+    source = tmp_path / "in.bin"
+    source.write_bytes(b"records")
+    return ["--data-dir", ws["data"], "file", "publish", "--in", source, "--recipient", ws["data"] / "bms.key.pub"]
+
+
+def _dead_peer(ws, tmp_path):
+    run("keygen", "--kind", "encryption", "--out", tmp_path / "r.key")
+    return [
+        "--data-dir", ws["data"], "file", "fetch", "--root", "00" * 32, "--from", "127.0.0.1:1",
+        "--identity", tmp_path / "r.key", "--out", tmp_path / "out.bin",
+    ]
+
+
+# command -> (build its arguments for a workspace, expected category)
+DOMAIN_ERRORS = {
+    "keygen": (lambda ws, _: ["keygen", "--kind", "encryption", "--out", ws["data"] / "sealer.key"], "InvalidKey"),
+    "init": (_bad_genesis, "MalformedBlock"),
+    "ingest": (_bad_csv, "BadRow"),
+    "seal": (_foreign_sealer, "BadSealerSignature"),
+    "verify": (_tampered, "ChainVerificationError"),
+    "explorer": (_spaced, "MalformedBlock"),
+    "balance": (_resealed, "BadSealerSignature"),
+    "file publish": (_wrong_recipient_file, "InvalidKey"),
+    "file fetch": (_dead_peer, "ConnectionLost"),
+}
+
+
+@pytest.mark.parametrize("command", DOMAIN_ERRORS)
+def test_domain_error_is_one_category_line(workspace, tmp_path, command):
+    build, category = DOMAIN_ERRORS[command]
+    # run() lets any exception other than the exit escape, so this also
+    # fails on a traceback
+    lines = run(*build(workspace, tmp_path), expect=1).stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"{category}: ")
+
+
+@pytest.mark.parametrize("missing", [False, True], ids=["directory", "missing"])
+@pytest.mark.parametrize("option", ["--csv", "--in"])
+def test_input_file_must_exist(workspace, tmp_path, option, missing):
+    data = workspace["data"]
+    path = tmp_path / "nope" if missing else tmp_path
+    args = {
+        "--csv": ["ingest", "--csv", path, "--to", workspace["bms"], "--sender-key", data / "sensor.key"],
+        "--in": ["file", "publish", "--in", path, "--recipient", data / "bms.key.pub"],
+    }[option]
+    result = run("--data-dir", data, *args, expect=2)
+    assert f"'{option}'" in result.stderr
 
 
 class TestFileCommands:

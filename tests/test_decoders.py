@@ -36,11 +36,13 @@ def _pending_line(tmp_path, raw):
     cli._load_pending(path)
 
 
-def _store_raw(tmp_path, raw) -> tuple[dagstore.ObjectStore, str]:
+def _store_raw(tmp_path, *raws) -> tuple[dagstore.ObjectStore, str]:
+    """Store each record under its own hash; return the last one's."""
     store = dagstore.ObjectStore(tmp_path / "objects")
-    hash = hashlib.sha256(raw).hexdigest()
-    (store.root / hash[:2]).mkdir()
-    (store.root / hash[:2] / hash[2:]).write_bytes(raw)
+    for raw in raws:
+        hash = hashlib.sha256(raw).hexdigest()
+        (store.root / hash[:2]).mkdir(exist_ok=True)
+        (store.root / hash[:2] / hash[2:]).write_bytes(raw)
     return store, hash
 
 
@@ -118,6 +120,19 @@ def test_decoder_accepts_valid_record(tmp_path, decoder):
     decode(tmp_path, _encode(obj))
 
 
+# Records this program writes and reads back must be byte-canonical; wire
+# messages, envelopes and hand-edited key files are checked field by field.
+STORED = ("block", "pending", "node")
+
+
+@pytest.mark.parametrize("decoder", STORED)
+def test_stored_record_must_be_canonical_bytes(tmp_path, decoder):
+    obj, _, decode, error = DECODERS[decoder]
+    spaced = json.dumps(obj, sort_keys=True, separators=(", ", ":")).encode("ascii")
+    with pytest.raises(error, match="not in canonical form"):
+        decode(tmp_path, spaced)
+
+
 @pytest.mark.parametrize("hostile", HOSTILE)
 @pytest.mark.parametrize("decoder", DECODERS)
 def test_decoder_rejects_hostile_record(tmp_path, decoder, hostile):
@@ -126,10 +141,19 @@ def test_decoder_rejects_hostile_record(tmp_path, decoder, hostile):
         decode(tmp_path, HOSTILE[hostile](obj, field))
 
 
-# Well-formed node records whose shape DagNode refuses.
+def _link(node: dict, size: int) -> dict:
+    return {"hash": hashlib.sha256(_encode(node)).hexdigest(), "name": "", "size": str(size)}
+
+
+_LEAF = {"data": base64.b64encode(b"ab").decode(), "links": []}
+_INTERIOR = {"data": "", "links": [_link(_LEAF, 2), _link(_LEAF, 2)]}
+
+# Well-formed node records, the node under test last, whose shape the
+# two-level DAG refuses.
 INVALID_NODES = {
-    "one-link interior node": {"data": "", "links": [{"hash": "11" * 32, "name": "", "size": "1"}]},
-    "leaf over 256 KiB": {"data": base64.b64encode(bytes(dagstore.CHUNK_SIZE + 1)).decode(), "links": []},
+    "one-link interior node": [{"data": "", "links": [{"hash": "11" * 32, "name": "", "size": "1"}]}],
+    "leaf over 256 KiB": [{"data": base64.b64encode(bytes(dagstore.CHUNK_SIZE + 1)).decode(), "links": []}],
+    "interior child": [_LEAF, _INTERIOR, {"data": "", "links": [_link(_INTERIOR, 4), _link(_LEAF, 2)]}],
 }
 
 
@@ -146,10 +170,15 @@ NODE_READERS = {
 }
 
 
-@pytest.mark.parametrize("node", INVALID_NODES)
-@pytest.mark.parametrize("reader", NODE_READERS)
+# (reader, node): DagNode refuses the first two shapes on their own; an
+# interior child is a valid node, wrong only in its place in a DAG.
+SHAPE_CASES = [(reader, node) for reader in NODE_READERS for node in ("one-link interior node", "leaf over 256 KiB")]
+SHAPE_CASES.append(("fetch_dag", "interior child"))
+
+
+@pytest.mark.parametrize("reader, node", SHAPE_CASES, ids=[f"{reader}-{node}" for reader, node in SHAPE_CASES])
 def test_node_readers_reject_invalid_shape(tmp_path, reader, node):
-    store, hash = _store_raw(tmp_path, _encode(INVALID_NODES[node]))
+    store, hash = _store_raw(tmp_path, *map(_encode, INVALID_NODES[node]))
     read, error = NODE_READERS[reader]
     with pytest.raises(error):
         read(store, hash, tmp_path)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from thermoledger import ledger
 from thermoledger.telemetry import (
     BadRow,
-    EncodingPolicy,
     MissingHeader,
     NegativeValue,
     PoolExhausted,
@@ -41,10 +40,10 @@ class TestCodec:
             encode_reading(Decimal("-5.0"))
 
     def test_offset_shifts_encoding(self):
-        policy = EncodingPolicy(offset_c=Decimal(1000))
-        value = encode_reading(Decimal("-5.0"), policy)
+        offset_c = Decimal(1000)
+        value = encode_reading(Decimal("-5.0"), offset_c)
         assert value == 995_000_000_000_000_000_000
-        assert decode_value(value, policy) == Decimal("-5.0")
+        assert decode_value(value, offset_c) == Decimal("-5.0")
 
     def test_decode_known_value(self):
         assert decode_value(22_900_000_000_000_000_000) == Decimal("22.9")
@@ -57,12 +56,12 @@ class TestCodec:
     @settings(max_examples=200)
     @given(three_decimal)
     def test_round_trip_three_decimals_with_offset(self, t):
-        policy = EncodingPolicy(offset_c=Decimal("273.15"))
-        if t + policy.offset_c < 0:
+        offset_c = Decimal("273.15")
+        if t + offset_c < 0:
             with pytest.raises(NegativeValue):
-                encode_reading(t, policy)
+                encode_reading(t, offset_c)
         else:
-            assert decode_value(encode_reading(t, policy), policy) == t
+            assert decode_value(encode_reading(t, offset_c), offset_c) == t
 
     @settings(max_examples=100)
     @given(one_decimal, one_decimal)
