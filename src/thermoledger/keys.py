@@ -57,6 +57,7 @@ class SigningKey:
         self._public_bytes = private.public_key().public_bytes(
             serialization.Encoding.Raw, serialization.PublicFormat.Raw
         )
+        self.address = derive_address(self._public_bytes)
 
     @classmethod
     def generate(cls) -> "SigningKey":
@@ -78,10 +79,6 @@ class SigningKey:
     @property
     def public_bytes(self) -> bytes:
         return self._public_bytes
-
-    @property
-    def address(self) -> str:
-        return derive_address(self._public_bytes)
 
     def sign(self, payload: bytes) -> bytes:
         return self._private.sign(payload)

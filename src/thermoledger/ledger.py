@@ -8,6 +8,8 @@ from the genesis allocation and checks hashes, links, Merkle roots,
 seals, and per-transaction signatures, nonces, and balances.
 The writer runs that same per-block check on every block it seals before
 returning it, and genesis is simply the height-0 seal of an empty list.
+Replay applies a block's transactions in place to one copy of the account
+map and hands that copy out read-only, so a seal is linear in transactions.
 
 Because Ed25519 has no public-key recovery, signature fields carry the
 32-byte public key followed by the 64-byte detached signature; verifiers
@@ -22,6 +24,7 @@ import time
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .canonical import (
@@ -249,7 +252,7 @@ class Block:
 
 @dataclass(frozen=True)
 class ChainState:
-    """Derived account map at a chain head. Treat as immutable."""
+    """Derived account map at a chain head; replay hands ``accounts`` out read-only."""
 
     accounts: Mapping[str, Account]
     head_hash: bytes
@@ -336,20 +339,18 @@ def verify_tx(tx: Transaction, state: ChainState) -> None:
         )
 
 
-def apply_tx(tx: Transaction, state: ChainState, sealer: str) -> ChainState:
-    """Apply a verified transaction; the fee is credited to the sealer."""
-    accounts = dict(state.accounts)
-    sender = accounts.get(tx.sender, Account(tx.sender))
+def apply_tx(tx: Transaction, accounts: dict[str, Account], sealer: str) -> None:
+    """Apply a verified transaction to a working account map in place; the fee is credited to the sealer."""
+    sender = accounts.get(tx.sender) or Account(tx.sender)
     if sender.balance < tx.value + tx.fee:
         # balances are unsigned; never wrap even if verify_tx was skipped
         raise InsufficientBalance(f"balance {sender.balance} < value {tx.value} + fee {tx.fee}")
-    accounts[tx.sender] = replace(sender, balance=sender.balance - tx.value - tx.fee, nonce=sender.nonce + 1)
-    recipient = accounts.get(tx.recipient, Account(tx.recipient))
-    accounts[tx.recipient] = replace(recipient, balance=recipient.balance + tx.value)
+    accounts[tx.sender] = Account(tx.sender, sender.balance - tx.value - tx.fee, sender.nonce + 1)
+    recipient = accounts.get(tx.recipient) or Account(tx.recipient)
+    accounts[tx.recipient] = Account(tx.recipient, recipient.balance + tx.value, recipient.nonce)
     if tx.fee:
-        sealer_acct = accounts.get(sealer, Account(sealer))
-        accounts[sealer] = replace(sealer_acct, balance=sealer_acct.balance + tx.fee)
-    return replace(state, accounts=accounts)
+        sealer_acct = accounts.get(sealer) or Account(sealer)
+        accounts[sealer] = Account(sealer, sealer_acct.balance + tx.fee, sealer_acct.nonce)
 
 
 def _pre_genesis(genesis_config: Sequence[tuple[str, int]], authority: bytes) -> ChainState:
@@ -359,15 +360,17 @@ def _pre_genesis(genesis_config: Sequence[tuple[str, int]], authority: bytes) ->
 
 
 def _replay(transactions: Sequence[Transaction], state: ChainState) -> ChainState:
-    """Verify and apply transactions in order; SealRejected on the first failure."""
+    """Verify and apply transactions in order on one copy of the map; SealRejected on the first failure."""
     sealer = derive_address(state.authority)
+    accounts = state.accounts.copy()  # a mappingproxy copies at dict speed only through copy(), not dict()
+    working = replace(state, accounts=accounts)
     for index, tx in enumerate(transactions):
         try:
-            verify_tx(tx, state)
-            state = apply_tx(tx, state, sealer)
+            verify_tx(tx, working)
+            apply_tx(tx, accounts, sealer)
         except Error as exc:
             raise SealRejected(index, exc) from exc
-    return state
+    return replace(state, accounts=MappingProxyType(accounts))
 
 
 def _accept(block: Block, state: ChainState) -> ChainState:

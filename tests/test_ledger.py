@@ -128,24 +128,27 @@ class TestVerifyAndApply:
 
     def test_replayed_nonce(self, bms):
         key = seeded_key(21)
-        state = _state({key.address: Account(key.address, balance=100)})
+        accounts = {key.address: Account(key.address, balance=100)}
         tx = build_and_sign_tx(key, bms.address, 30, nonce=0)
-        state = apply_tx(tx, state, sealer=bms.address)
+        apply_tx(tx, accounts, sealer=bms.address)
+        state = _state(accounts)
         with pytest.raises(NonceMismatch):
             verify_tx(tx, state)
 
     def test_simple_transfer(self, bms):
         key = seeded_key(21)
-        state = _state({key.address: Account(key.address, balance=100)})
-        state = apply_tx(build_and_sign_tx(key, bms.address, 30, nonce=0), state, sealer=seeded_key(22).address)
+        accounts = {key.address: Account(key.address, balance=100)}
+        apply_tx(build_and_sign_tx(key, bms.address, 30, nonce=0), accounts, sealer=seeded_key(22).address)
+        state = _state(accounts)
         assert state.account(key.address).balance == 70
         assert state.account(bms.address).balance == 30
         assert state.account(key.address).nonce == 1
 
     def test_zero_transfer_still_bumps_nonce(self, bms):
         key = seeded_key(21)
-        state = _state({key.address: Account(key.address, balance=100)})
-        state = apply_tx(build_and_sign_tx(key, bms.address, 0, nonce=0), state, sealer=bms.address)
+        accounts = {key.address: Account(key.address, balance=100)}
+        apply_tx(build_and_sign_tx(key, bms.address, 0, nonce=0), accounts, sealer=bms.address)
+        state = _state(accounts)
         assert state.account(key.address).balance == 100
         assert state.account(bms.address).balance == 0
         assert state.account(key.address).nonce == 1
@@ -156,7 +159,9 @@ class TestVerifyAndApply:
         state = _state({key.address: Account(key.address, balance=100)})
         tx = build_and_sign_tx(key, bms.address, 30, nonce=0, gas_limit=5, gas_price=1)
         assert tx.fee == 5
-        new = apply_tx(tx, state, sealer=sealer.address)
+        accounts = dict(state.accounts)
+        apply_tx(tx, accounts, sealer=sealer.address)
+        new = _state(accounts)
         assert new.account(key.address).balance == 100 - 30 - 5
         assert new.account(bms.address).balance == 30
         assert new.account(sealer.address).balance == 5
@@ -193,6 +198,44 @@ class TestSealBlock:
         assert excinfo.value.index == 3
         assert isinstance(excinfo.value.cause, NonceMismatch)
         assert before.account(sensor.address).nonce == 0
+
+
+class TestStateIsNotShared:
+    """Replay works on one copy of the account map; no earlier state sees it change."""
+
+    def test_seal_leaves_earlier_state_unchanged(self, chain, sensor, bms, sealer):
+        before = chain.state
+        digest = before.accounts_digest()
+        chain.seal([build_and_sign_tx(sensor, bms.address, 5, nonce=i) for i in range(3)], sealer, timestamp=1)
+        assert chain.state.account(sensor.address).nonce == 3
+        assert before.accounts_digest() == digest
+        assert before.account(sensor.address).nonce == 0
+        assert bms.address not in before.accounts
+
+    def test_rejected_seal_after_applied_tx_leaves_state_unchanged(self, chain, sensor, bms, sealer):
+        before = chain.state
+        digest = before.accounts_digest()
+        txs = [build_and_sign_tx(sensor, bms.address, 5, nonce=0), build_and_sign_tx(sensor, bms.address, 5, nonce=7)]
+        with pytest.raises(SealRejected) as excinfo:
+            chain.seal(txs, sealer, timestamp=1)
+        assert excinfo.value.index == 1
+        assert chain.state is before
+        assert before.accounts_digest() == digest
+        assert before.account(sensor.address).nonce == 0
+        assert bms.address not in before.accounts
+
+    def test_state_after_leaves_chain_state_unchanged(self, chain, sensor, bms):
+        digest = chain.state.accounts_digest()
+        after = chain.state_after([build_and_sign_tx(sensor, bms.address, 5, nonce=i) for i in range(2)])
+        assert after.account(sensor.address).nonce == 2
+        assert chain.state.accounts_digest() == digest
+        assert chain.state.account(sensor.address).nonce == 0
+
+    def test_chain_state_accounts_are_read_only(self, chain, sensor):
+        with pytest.raises(TypeError):
+            chain.state.accounts[sensor.address] = Account(sensor.address, balance=1)
+        with pytest.raises(TypeError):
+            del chain.state.accounts[sensor.address]
 
 
 class TestQuery:

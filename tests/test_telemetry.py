@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermoledger import ledger
+from thermoledger import keys, ledger
 from thermoledger.telemetry import (
     BadRow,
     MissingHeader,
@@ -179,6 +179,16 @@ class TestPump:
         chain.seal(first, sealer, timestamp=1)
         second = pump(_readings(["20.2"]), rotation, bms.address, chain.state)
         assert [tx.nonce for tx in second] == [2]
+
+    def test_sender_addresses_are_not_rehashed(self, chain, bms, monkeypatch):
+        pool = sensor_pool(3)
+        derived = []
+        real = keys.derive_address
+        monkeypatch.setattr(keys, "derive_address", lambda public_key: derived.append(public_key) or real(public_key))
+        rotation = RotationPolicy(8, pool)
+        txs = pump(_readings(FIXTURE_VALUES), rotation, bms.address, chain.state)
+        assert len(txs) == 24
+        assert derived == []
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 30), st.integers(1, 9))
