@@ -275,8 +275,9 @@ def fetch(config: Config, root: str, peer: str, identity_path: Path, out_path: P
     if not host or not port_text.isdigit():
         raise click.UsageError(f"peer must be host:port, got {peer!r}")
     store = dagstore.ObjectStore(config.objects_dir)
-    transferred = exchange.fetch_dag((host, int(port_text)), root, store)
-    sealed = dagstore.cat_file(store, root)
+    transferred, nodes = exchange.fetch_dag((host, int(port_text)), root, store)
+    sealed = dagstore.cat_file(nodes, root)
+    del nodes  # the leaves now live on in sealed; do not hold them twice while decrypting
     plaintext = envelope.decrypt(sealed, envelope.load_identity(identity_path))
     out_path.write_bytes(plaintext)
     click.echo(f"fetched {transferred} nodes, wrote {len(plaintext)} bytes to {out_path}")

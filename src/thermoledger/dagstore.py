@@ -9,7 +9,8 @@ rehashing.
 
 Nodes persist under ``objects/<first 2 hex>/<remaining 62 hex>``. Writes
 are idempotent and crash-atomic (temp file, then rename), which also makes
-concurrent puts safe without a lock.
+concurrent puts safe without a lock; a write over an object whose bytes no
+longer hash to its name replaces it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Mapping
 
 from .canonical import b64, canonical_json, parse_b64, parse_bare_hex64, parse_canonical, parse_uint, require_keys, sha256, uint_to_str
 from .errors import Error
@@ -139,9 +140,24 @@ class ObjectStore:
         """Store a node; returns (hash, was_new). Idempotent."""
         raw = encode_node(node)
         hash = sha256(raw).hex()
+        return hash, self.put_raw(hash, raw)
+
+    def put_raw(self, hash: str, raw: bytes) -> bool:
+        """Store a node's encoding as given; returns was_new.
+
+        The one write path. The caller vouches that ``raw`` hashes to
+        ``hash`` and decodes as a node: ``put`` encodes it itself, and
+        ``fetch_dag`` checks both on the received bytes. An object already
+        stored is kept if its bytes still hash to its name and replaced if
+        they do not, so a damaged object heals on the next write.
+        """
         path = self._path(hash)
         if path.exists():
-            return hash, False
+            try:
+                self.get_bytes(hash)
+                return False
+            except (NotFound, CorruptObject):
+                pass  # removed since the check, or damaged: write it afresh
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
         try:
@@ -152,7 +168,7 @@ class ObjectStore:
             if os.path.exists(tmp):
                 os.unlink(tmp)
             raise
-        return hash, True
+        return True
 
     def get_bytes(self, hash: str) -> bytes:
         """Raw stored encoding, verified against its name."""
@@ -219,8 +235,13 @@ def add_file(store: ObjectStore, content: bytes) -> str:
     return root_hash
 
 
-def cat_file(store: ObjectStore, root: str) -> bytes:
-    """Reassemble a file from its root hash; exact inverse of add_file."""
+def cat_file(store: ObjectStore | Mapping[str, DagNode], root: str) -> bytes:
+    """Reassemble a file from its root hash; exact inverse of add_file.
+
+    ``store`` is read only through ``.get(hash)``: an ObjectStore, which
+    verifies every node it reads, or a map of nodes already verified, such
+    as the one ``fetch_dag`` returns.
+    """
     node = store.get(root)
     if node.is_leaf:
         return node.data

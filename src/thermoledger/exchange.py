@@ -1,7 +1,7 @@
 """Node-to-node object fetch protocol.
 
-A peer that knows a root hash pulls the DAG from whoever stores it: it
-requests the root, then each linked node, over a single TCP connection.
+A peer that knows a root hash pulls the DAG from whoever stores it over a
+single TCP connection: it requests the root, then the root's children.
 Messages are canonical JSON frames prefixed with a 4-byte big-endian
 length, capped at 1 MiB (a maximum-size node plus overhead fits):
 
@@ -9,10 +9,14 @@ length, capped at 1 MiB (a maximum-size node plus overhead fits):
     {"type": "node", "hash": <64 hex>, "node": <base64 canonical encoding>}
     {"type": "missing", "hash": <64 hex>}
 
-The server answers requests in order, so clients may pipeline. The client
-trusts nothing from the wire: a node is stored only after its bytes hash
-to the requested name, so a corrupt or malicious peer can cause a failed
-fetch but never a corrupt store.
+The server answers requests in order, so the client pipelines: it keeps
+up to WINDOW gets outstanding, from one thread, and reads each reply as
+the answer to its oldest get. The client trusts nothing from the wire: a
+node is stored only after its bytes hash to the requested name and parse
+as a canonical node, so a corrupt or malicious peer can cause a failed
+fetch but never a corrupt store. The bytes are stored as received, and
+the decoded nodes are handed back, so no node is encoded, hashed or
+decoded twice.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import struct
 import threading
 
 from .canonical import b64, canonical_json, parse_b64, parse_bare_hex64, parse_object, require_keys, sha256
-from .dagstore import CorruptObject, NotFound, ObjectStore, decode_node
+from .dagstore import CorruptObject, DagNode, NotFound, ObjectStore, decode_node
 from .errors import Error
 
 MAX_FRAME_SIZE = 1024 * 1024
@@ -62,7 +66,7 @@ def write_frame(sock: socket.socket, payload: bytes) -> None:
     sock.sendall(_LEN.pack(len(payload)) + payload)
 
 
-def read_frame(sock: socket.socket) -> bytes | None:
+def read_frame(sock: socket.socket) -> bytearray | None:
     """Read one frame; None on clean EOF at a frame boundary."""
     header = _read_exact(sock, _LEN.size, allow_eof=True)
     if header is None:
@@ -75,18 +79,20 @@ def read_frame(sock: socket.socket) -> bytes | None:
     return payload
 
 
-def _read_exact(sock: socket.socket, size: int, allow_eof: bool) -> bytes | None:
-    buf = b""
-    while len(buf) < size:
-        try:
-            chunk = sock.recv(size - len(buf))
-        except (TimeoutError, socket.timeout, OSError) as exc:
-            raise ConnectionLost(f"socket error: {exc}") from exc
-        if not chunk:
-            if allow_eof and not buf:
-                return None
-            raise ConnectionLost("peer closed the connection mid-frame")
-        buf += chunk
+def _read_exact(sock: socket.socket, size: int, allow_eof: bool) -> bytearray | None:
+    buf = bytearray(size)
+    got = 0
+    with memoryview(buf) as view:
+        while got < size:
+            try:
+                count = sock.recv_into(view[got:])
+            except (TimeoutError, socket.timeout, OSError) as exc:
+                raise ConnectionLost(f"socket error: {exc}") from exc
+            if not count:
+                if allow_eof and not got:
+                    return None
+                raise ConnectionLost("peer closed the connection mid-frame")
+            got += count
     return buf
 
 
@@ -196,16 +202,22 @@ class _PeerConnection:
     def __init__(self, endpoint: tuple[str, int]):
         try:
             self._sock = socket.create_connection(endpoint, timeout=PEER_TIMEOUT)
+            # gets are small writes sent back to back; Nagle would hold each
+            # one until the one before it is acknowledged
+            self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError as exc:
             raise ConnectionLost(f"cannot connect to {endpoint[0]}:{endpoint[1]}: {exc}") from exc
 
-    def request_node(self, hash: str) -> bytes:
-        """Fetch and hash-verify one node's raw bytes."""
+    def send_get(self, hash: str) -> None:
         try:
             write_frame(self._sock, encode_get(hash))
-            payload = read_frame(self._sock)
         except OSError as exc:
             raise ConnectionLost(f"socket error: {exc}") from exc
+
+    def request_node(self, hash: str) -> bytes:
+        """Read the reply to the oldest outstanding get, which is for hash,
+        and hash-verify the node's raw bytes."""
+        payload = read_frame(self._sock)
         if payload is None:
             raise ConnectionLost("peer closed the connection")
         message = decode_message(payload)
@@ -225,40 +237,71 @@ class _PeerConnection:
             pass
 
 
-def fetch_dag(endpoint: tuple[str, int], root: str, store: ObjectStore) -> int:
-    """Pull the DAG under root into the local store; returns nodes fetched.
+WINDOW = 8  # gets outstanding at once; the server queues them on the socket
 
-    Nodes already present locally are never re-requested. Every fetched
-    node is verified (bytes must hash to the requested name and parse as a
-    canonical node) before it is written, so a lying peer aborts the fetch
-    with HashMismatch and leaves the store clean.
+
+def fetch_dag(endpoint: tuple[str, int], root: str, store: ObjectStore) -> tuple[int, dict[str, DagNode]]:
+    """Pull the DAG under root into the local store.
+
+    Returns the number of nodes transferred and every node of the DAG by
+    hash, which ``cat_file`` joins without reading the store again.
+
+    A node already stored locally and intact is read through the verifying
+    ``store.get`` and never requested; a damaged one is fetched again. The
+    root comes first, then its missing children, each requested once, with
+    up to WINDOW gets outstanding. Every received node is verified (its
+    bytes must hash to the requested name and parse as a canonical node,
+    and a child must be a leaf) before its bytes are stored as received,
+    so a lying peer aborts the fetch with HashMismatch and leaves the
+    store clean.
     """
     parse_bare_hex64(root)
     conn = _PeerConnection(endpoint)
     try:
-        transferred = 0
-
-        def obtain(hash: str, child: bool):
-            nonlocal transferred
-            if store.contains(hash):
-                return store.get(hash)
-            raw = conn.request_node(hash)
-            try:
-                node = decode_node(raw)
-            except ValueError as exc:
-                # hash already verified, so these bytes genuinely are the
-                # named object; it just is not a DAG node
-                raise ProtocolError(f"object {hash} is not a canonical node: {exc}") from exc
-            if child and not node.is_leaf:
-                # the DAG has two levels; its children would never be fetched
-                raise ProtocolError(f"child {hash} is an interior node")
-            store.put(node)
-            transferred += 1
-            return node
-
-        root_node = obtain(root, child=False)
-        for link in root_node.links:
-            obtain(link.hash, child=True)
-        return transferred
+        nodes = {root: _local(store, root)}
+        if nodes[root] is None:
+            conn.send_get(root)
+            nodes[root] = _receive(conn, store, root, child=False)
+            transferred = 1
+        else:
+            transferred = 0
+        wanted = []
+        for link in nodes[root].links:
+            if link.hash not in nodes:
+                nodes[link.hash] = _local(store, link.hash)
+                if nodes[link.hash] is None:
+                    wanted.append(link.hash)
+        sent = 0
+        for done, hash in enumerate(wanted):
+            while sent < len(wanted) and sent - done < WINDOW:
+                conn.send_get(wanted[sent])
+                sent += 1
+            nodes[hash] = _receive(conn, store, hash, child=True)
+        return transferred + len(wanted), nodes
     finally:
         conn.close()
+
+
+def _local(store: ObjectStore, hash: str) -> DagNode | None:
+    """The intact local node, or None if absent or damaged (fetch it again)."""
+    if not store.contains(hash):
+        return None
+    try:
+        return store.get(hash)
+    except (NotFound, CorruptObject):
+        return None
+
+
+def _receive(conn: _PeerConnection, store: ObjectStore, hash: str, child: bool) -> DagNode:
+    raw = conn.request_node(hash)
+    try:
+        node = decode_node(raw)
+    except ValueError as exc:
+        # hash already verified, so these bytes genuinely are the named
+        # object; it just is not a DAG node
+        raise ProtocolError(f"object {hash} is not a canonical node: {exc}") from exc
+    if child and not node.is_leaf:
+        # the DAG has two levels; its children would never be fetched
+        raise ProtocolError(f"child {hash} is an interior node")
+    store.put_raw(hash, raw)
+    return node

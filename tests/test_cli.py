@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import random
 import subprocess
 import sys
 from decimal import Decimal
@@ -10,7 +11,8 @@ from click.testing import CliRunner
 
 from thermoledger import exchange, ledger
 from thermoledger.cli import main
-from thermoledger.dagstore import ObjectStore
+from thermoledger.dagstore import ObjectStore, cat_file
+from thermoledger.envelope import decrypt, load_identity
 from thermoledger.keys import SigningKey
 
 from .conftest import FIXTURE_CSV, FIXTURE_VALUES, PER_SENSOR_ALLOCATION
@@ -355,6 +357,27 @@ class TestFileCommands:
             )
         assert out_file.read_bytes() == payload.read_bytes()
         assert "fetched" in result.output
+
+    def test_fetched_store_decrypts_to_the_written_file(self, tmp_path):
+        publisher, fetcher = tmp_path / "publisher", tmp_path / "fetcher"
+        run("keygen", "--kind", "encryption", "--out", tmp_path / "recipient.key")
+        payload = tmp_path / "in.bin"
+        payload.write_bytes(random.Random(5).randbytes(700_000))
+        root = run(
+            "--data-dir", publisher, "file", "publish",
+            "--in", payload, "--recipient", tmp_path / "recipient.key.pub",
+        ).output.strip()
+        with exchange.serve(ObjectStore(publisher / "objects")) as server:
+            host, port = server.endpoint
+            out_file = tmp_path / "out.bin"
+            result = run(
+                "--data-dir", fetcher, "file", "fetch",
+                "--root", root, "--from", f"{host}:{port}",
+                "--identity", tmp_path / "recipient.key", "--out", out_file,
+            )
+        assert result.output.startswith("fetched 5 nodes,")
+        stored = cat_file(ObjectStore(fetcher / "objects"), root)
+        assert decrypt(stored, load_identity(tmp_path / "recipient.key")) == out_file.read_bytes() == payload.read_bytes()
 
     def test_fetch_with_wrong_identity_fails(self, tmp_path):
         publisher = tmp_path / "publisher"

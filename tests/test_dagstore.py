@@ -107,6 +107,13 @@ class TestPutGet:
         with pytest.raises(CorruptObject):
             store.audit()
 
+    def test_put_replaces_damaged_object(self, store, tmp_path):
+        node = DagNode(data=b"heal me")
+        hash, _ = store.put(node)
+        (tmp_path / "objects" / hash[:2] / hash[2:]).write_bytes(b"")
+        assert store.put(node) == (hash, True)
+        assert store.get(hash) == node
+
     def test_sharded_layout(self, store, tmp_path):
         hash, _ = store.put(DagNode(data=b"where am i"))
         assert (tmp_path / "objects" / hash[:2] / hash[2:]).is_file()

@@ -1,16 +1,21 @@
 import random
+import select
 import socket
+import struct
+import threading
 
 import pytest
 
-from thermoledger.dagstore import ObjectStore, add_file, cat_file
+from thermoledger.dagstore import CHUNK_SIZE, NotFound, ObjectStore, add_file, cat_file
 from thermoledger.envelope import Identity, decrypt, encrypt_for
 from thermoledger.exchange import (
+    WINDOW,
     HashMismatch,
     ProtocolError,
     RemoteMissing,
     decode_message,
     encode_get,
+    encode_node,
     fetch_dag,
     read_frame,
     serve,
@@ -44,6 +49,71 @@ class _LyingStore:
         if hash == self._poisoned:
             return self._payload
         return self._inner.get_bytes(hash)
+
+
+class _HoleyStore:
+    """Reports one stored hash as missing."""
+
+    def __init__(self, inner, hole):
+        self._inner = inner
+        self._hole = hole
+
+    def get_bytes(self, hash):
+        if hash == self._hole:
+            raise NotFound(hash)
+        return self._inner.get_bytes(hash)
+
+
+class _CountingPeer:
+    """Serves one connection, recording each get and the most gets it held
+    unanswered at once. Before each reply it waits briefly for more gets,
+    so a pipelining client shows its window."""
+
+    def __init__(self, store):
+        self._store = store
+        self.requested = []
+        self.max_outstanding = 0
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self.endpoint = self._listener.getsockname()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        conn, _ = self._listener.accept()
+        with conn:
+            buf, queue = b"", []
+            while True:
+                if select.select([conn], [], [], 0.02 if queue else 10)[0]:
+                    chunk = conn.recv(1 << 16)
+                    if not chunk:
+                        return
+                    buf += chunk
+                    while len(buf) >= 4 and len(buf) >= (end := 4 + struct.unpack(">I", buf[:4])[0]):
+                        queue.append(decode_message(buf[4:end])["hash"])
+                        self.requested.append(queue[-1])
+                        buf = buf[end:]
+                    self.max_outstanding = max(self.max_outstanding, len(queue))
+                elif queue:
+                    hash = queue.pop(0)
+                    write_frame(conn, encode_node(hash, self._store.get_bytes(hash)))
+                else:
+                    return
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self._thread.join(timeout=15)
+        self._listener.close()
+        assert not self._thread.is_alive()
+
+
+def _leaves(root, store):
+    return [link.hash for link in store.get(root).links]
+
+
+def _tmp_files(store):
+    return [path for path in store.root.rglob("*") if path.name.startswith(".tmp-")]
 
 
 class TestServe:
@@ -112,15 +182,15 @@ class TestFetchDag:
         content = _content(1_000_000, seed=1)
         root = add_file(remote, content)
         with serve(remote) as server:
-            transferred = fetch_dag(server.endpoint, root, local)
+            transferred, _ = fetch_dag(server.endpoint, root, local)
         assert transferred == 5
         assert cat_file(local, root) == cat_file(remote, root) == content
 
     def test_refetch_transfers_nothing(self, remote, local):
         root = add_file(remote, _content(700_000, seed=2))
         with serve(remote) as server:
-            assert fetch_dag(server.endpoint, root, local) == 4
-            assert fetch_dag(server.endpoint, root, local) == 0
+            assert fetch_dag(server.endpoint, root, local)[0] == 4
+            assert fetch_dag(server.endpoint, root, local)[0] == 0
 
     def test_partially_local_fetches_only_missing(self, remote, local):
         content = _content(1_000_000, seed=3)
@@ -128,7 +198,7 @@ class TestFetchDag:
         shared_chunk = content[: 262_144]
         add_file(local, shared_chunk)  # first leaf already present locally
         with serve(remote) as server:
-            transferred = fetch_dag(server.endpoint, root, local)
+            transferred, _ = fetch_dag(server.endpoint, root, local)
         assert transferred == 4
         assert cat_file(local, root) == content
 
@@ -163,6 +233,77 @@ class TestFetchDag:
                 with pytest.raises(HashMismatch):
                     fetch_dag(server.endpoint, root, local)
             assert not local.contains(target)
+        local.audit()
+
+
+    def test_window_bounds_outstanding_gets(self, remote, local):
+        content = _content((WINDOW + 4) * CHUNK_SIZE, seed=8)
+        root = add_file(remote, content)
+        with _CountingPeer(remote) as peer:
+            transferred, nodes = fetch_dag(peer.endpoint, root, local)
+        assert transferred == WINDOW + 5
+        assert 1 < peer.max_outstanding <= WINDOW
+        assert cat_file(nodes, root) == content
+
+    def test_repeated_child_requested_once(self, remote, local):
+        chunk_a, chunk_b = _content(CHUNK_SIZE, seed=9), _content(CHUNK_SIZE, seed=10)
+        content = chunk_a + chunk_a + chunk_b
+        root = add_file(remote, content)
+        a, repeated, b = _leaves(root, remote)
+        assert a == repeated
+        with _CountingPeer(remote) as peer:
+            transferred, nodes = fetch_dag(peer.endpoint, root, local)
+        assert peer.requested == [root, a, b]
+        assert transferred == 3
+        assert cat_file(nodes, root) == cat_file(local, root) == content
+
+    def test_present_leaves_not_requested(self, remote, local):
+        content = _content(4 * CHUNK_SIZE, seed=11)
+        root = add_file(remote, content)
+        add_file(local, content[:CHUNK_SIZE])
+        add_file(local, content[2 * CHUNK_SIZE : 3 * CHUNK_SIZE])
+        leaves = _leaves(root, remote)
+        with _CountingPeer(remote) as peer:
+            transferred, nodes = fetch_dag(peer.endpoint, root, local)
+        assert peer.requested == [root, leaves[1], leaves[3]]
+        assert transferred == 3
+        assert cat_file(nodes, root) == content
+
+    def test_lie_with_later_gets_outstanding_stores_only_verified(self, remote, local):
+        content = _content((WINDOW + 4) * CHUNK_SIZE, seed=12)
+        root = add_file(remote, content)
+        leaves = _leaves(root, remote)
+        with serve(_LyingStore(remote, leaves[1])) as server:
+            with pytest.raises(HashMismatch) as excinfo:
+                fetch_dag(server.endpoint, root, local)
+        assert excinfo.value.hash == leaves[1]
+        assert set(local.hashes()) == {root, leaves[0]}
+        assert _tmp_files(local) == []
+        local.audit()
+
+    def test_missing_mid_window_raises(self, remote, local):
+        content = _content(6 * CHUNK_SIZE, seed=13)
+        root = add_file(remote, content)
+        hole = _leaves(root, remote)[3]
+        with serve(_HoleyStore(remote, hole)) as server:
+            with pytest.raises(RemoteMissing) as excinfo:
+                fetch_dag(server.endpoint, root, local)
+        assert excinfo.value.hash == hole
+        assert not local.contains(hole)
+        assert _tmp_files(local) == []
+        local.audit()
+
+    def test_damaged_local_child_is_fetched_again(self, remote, local):
+        content = _content(3 * CHUNK_SIZE, seed=14)
+        root = add_file(remote, content)
+        damaged = _leaves(root, remote)[1]
+        with serve(remote) as server:
+            fetch_dag(server.endpoint, root, local)
+            # what a crash after the rename but before the data reached disk leaves
+            (local.root / damaged[:2] / damaged[2:]).write_bytes(b"")
+            transferred, _ = fetch_dag(server.endpoint, root, local)
+        assert transferred == 1
+        assert cat_file(local, root) == content
         local.audit()
 
 
