@@ -85,6 +85,9 @@ class DagNode:
             raise InvalidNode("node cannot carry both data and links")
         if self.links and len(self.links) < 2:
             raise InvalidNode("interior node must have at least 2 links")
+        if len(self.links) > MAX_LINKS:
+            # a root must not name more than the 256 MiB cap's worth of leaves
+            raise InvalidNode(f"interior node has {len(self.links)} links, limit {MAX_LINKS}")
 
     @property
     def is_leaf(self) -> bool:
@@ -151,13 +154,12 @@ class ObjectStore:
         stored is kept if its bytes still hash to its name and replaced if
         they do not, so a damaged object heals on the next write.
         """
+        try:
+            self.get_bytes(hash)
+            return False
+        except (NotFound, CorruptObject):
+            pass  # absent or damaged: write it afresh
         path = self._path(hash)
-        if path.exists():
-            try:
-                self.get_bytes(hash)
-                return False
-            except (NotFound, CorruptObject):
-                pass  # removed since the check, or damaged: write it afresh
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
         try:
@@ -187,9 +189,6 @@ class ObjectStore:
             return decode_node(raw)
         except ValueError as exc:
             raise CorruptObject(hash, str(exc)) from exc
-
-    def contains(self, hash: str) -> bool:
-        return self._path(hash).exists()
 
     def delete(self, hash: str) -> None:
         try:

@@ -1,7 +1,8 @@
 """Node-to-node object fetch protocol.
 
 A peer that knows a root hash pulls the DAG from whoever stores it over a
-single TCP connection: it requests the root, then the root's children.
+single TCP connection: it requests the root, then the root's children. No
+connection is made when every node is already stored locally and intact.
 Messages are canonical JSON frames prefixed with a 4-byte big-endian
 length, capped at 1 MiB (a maximum-size node plus overhead fits):
 
@@ -13,10 +14,11 @@ The server answers requests in order, so the client pipelines: it keeps
 up to WINDOW gets outstanding, from one thread, and reads each reply as
 the answer to its oldest get. The client trusts nothing from the wire: a
 node is stored only after its bytes hash to the requested name and parse
-as a canonical node, so a corrupt or malicious peer can cause a failed
-fetch but never a corrupt store. The bytes are stored as received, and
-the decoded nodes are handed back, so no node is encoded, hashed or
-decoded twice.
+as a canonical node (an interior one names at most 1024 leaves, the
+256 MiB cap), so a corrupt or malicious peer can cause a failed fetch but
+never a corrupt store or an unbounded one. The bytes are stored as
+received, and the decoded nodes are handed back, so no node is encoded,
+hashed or decoded twice.
 """
 
 from __future__ import annotations
@@ -68,28 +70,30 @@ def write_frame(sock: socket.socket, payload: bytes) -> None:
 
 def read_frame(sock: socket.socket) -> bytearray | None:
     """Read one frame; None on clean EOF at a frame boundary."""
-    header = _read_exact(sock, _LEN.size, allow_eof=True)
+    header = _read_exact(sock, _LEN.size)
     if header is None:
         return None
     (length,) = _LEN.unpack(header)
     if length > MAX_FRAME_SIZE:
         raise ProtocolError(f"frame of {length} bytes exceeds the {MAX_FRAME_SIZE} cap")
-    payload = _read_exact(sock, length, allow_eof=False)
-    assert payload is not None
+    payload = _read_exact(sock, length)
+    if payload is None:
+        raise ConnectionLost("peer closed the connection mid-frame")
     return payload
 
 
-def _read_exact(sock: socket.socket, size: int, allow_eof: bool) -> bytearray | None:
+def _read_exact(sock: socket.socket, size: int) -> bytearray | None:
+    """size bytes; None if the peer closes before sending the first one."""
     buf = bytearray(size)
     got = 0
     with memoryview(buf) as view:
         while got < size:
             try:
                 count = sock.recv_into(view[got:])
-            except (TimeoutError, socket.timeout, OSError) as exc:
+            except OSError as exc:  # timeouts included
                 raise ConnectionLost(f"socket error: {exc}") from exc
             if not count:
-                if allow_eof and not got:
+                if not got:
                     return None
                 raise ConnectionLost("peer closed the connection mid-frame")
             got += count
@@ -131,29 +135,20 @@ class _Handler(socketserver.BaseRequestHandler):
     def handle(self):
         store = self.server.store
         self.request.settimeout(PEER_TIMEOUT)
-        while True:
-            try:
-                payload = read_frame(self.request)
-            except Error:
-                return
-            if payload is None:
-                return
-            try:
+        try:
+            while (payload := read_frame(self.request)) is not None:
                 message = decode_message(payload)
                 if message["type"] != "get":
                     raise ProtocolError("server accepts only get messages")
-            except Error:
-                return
-            hash = message["hash"]
-            try:
-                reply = encode_node(hash, store.get_bytes(hash))
-            except (NotFound, CorruptObject):
-                # refuse to serve bytes that fail local verification
-                reply = encode_missing(hash)
-            try:
+                hash = message["hash"]
+                try:
+                    reply = encode_node(hash, store.get_bytes(hash))
+                except (NotFound, CorruptObject):
+                    # refuse to serve bytes that fail local verification
+                    reply = encode_missing(hash)
                 write_frame(self.request, reply)
-            except OSError:
-                return
+        except (Error, OSError):
+            return  # a broken or hostile connection ends; the server goes on
 
 
 class PeerServer(socketserver.ThreadingTCPServer):
@@ -172,7 +167,8 @@ class PeerServer(socketserver.ThreadingTCPServer):
         return self.server_address[0], self.server_address[1]
 
     def start(self) -> "PeerServer":
-        self._thread = threading.Thread(target=self.serve_forever, daemon=True)
+        # stop() waits out one poll of serve_forever; the default poll is 0.5 s
+        self._thread = threading.Thread(target=self.serve_forever, args=(0.05,), daemon=True)
         self._thread.start()
         return self
 
@@ -181,9 +177,6 @@ class PeerServer(socketserver.ThreadingTCPServer):
         self.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5)
-
-    def __enter__(self) -> "PeerServer":
-        return self
 
     def __exit__(self, *exc_info) -> None:
         self.stop()
@@ -249,43 +242,42 @@ def fetch_dag(endpoint: tuple[str, int], root: str, store: ObjectStore) -> tuple
     A node already stored locally and intact is read through the verifying
     ``store.get`` and never requested; a damaged one is fetched again. The
     root comes first, then its missing children, each requested once, with
-    up to WINDOW gets outstanding. Every received node is verified (its
-    bytes must hash to the requested name and parse as a canonical node,
-    and a child must be a leaf) before its bytes are stored as received,
-    so a lying peer aborts the fetch with HashMismatch and leaves the
-    store clean.
+    up to WINDOW gets outstanding; the connection is opened only if some
+    node is missing. Every received node is verified (its bytes must hash
+    to the requested name and parse as a canonical node of at most 1024
+    links, and a child must be a leaf) before its bytes are stored as
+    received, so a lying peer aborts the fetch with HashMismatch and
+    leaves the store clean.
     """
     parse_bare_hex64(root)
-    conn = _PeerConnection(endpoint)
+    nodes: dict[str, DagNode | None] = {}
+    conn = None
+    transferred = 0
     try:
-        nodes = {root: _local(store, root)}
-        if nodes[root] is None:
-            conn.send_get(root)
-            nodes[root] = _receive(conn, store, root, child=False)
-            transferred = 1
-        else:
-            transferred = 0
-        wanted = []
-        for link in nodes[root].links:
-            if link.hash not in nodes:
-                nodes[link.hash] = _local(store, link.hash)
-                if nodes[link.hash] is None:
-                    wanted.append(link.hash)
-        sent = 0
-        for done, hash in enumerate(wanted):
-            while sent < len(wanted) and sent - done < WINDOW:
-                conn.send_get(wanted[sent])
-                sent += 1
-            nodes[hash] = _receive(conn, store, hash, child=True)
-        return transferred + len(wanted), nodes
+        for child in (False, True):
+            wanted = []
+            for hash in [link.hash for link in nodes[root].links] if child else [root]:
+                if hash not in nodes:
+                    nodes[hash] = _local(store, hash)
+                    if nodes[hash] is None:
+                        wanted.append(hash)
+            if wanted and conn is None:
+                conn = _PeerConnection(endpoint)
+            sent = 0
+            for done, hash in enumerate(wanted):
+                while sent < len(wanted) and sent - done < WINDOW:
+                    conn.send_get(wanted[sent])
+                    sent += 1
+                nodes[hash] = _receive(conn, store, hash, child)
+            transferred += len(wanted)
+        return transferred, nodes
     finally:
-        conn.close()
+        if conn is not None:
+            conn.close()
 
 
 def _local(store: ObjectStore, hash: str) -> DagNode | None:
     """The intact local node, or None if absent or damaged (fetch it again)."""
-    if not store.contains(hash):
-        return None
     try:
         return store.get(hash)
     except (NotFound, CorruptObject):

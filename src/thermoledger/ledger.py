@@ -524,11 +524,16 @@ class Chain:
         sealer_key: SigningKey,
         path: str | Path | None = None,
     ) -> "Chain":
+        """Seal genesis; with a path, write it to a new chain file (Error if one exists)."""
         pre_genesis = _pre_genesis(genesis_config, sealer_key.public_bytes)
         genesis, state = seal_block([], pre_genesis, sealer_key, GENESIS_TIMESTAMP)
         chain = cls([genesis], state, path)
         if chain._path is not None:
-            write_chain(chain._path, chain._blocks)
+            try:
+                with open(chain._path, "xb") as fp:
+                    fp.write(genesis.canonical_line() + b"\n")
+            except FileExistsError:
+                raise Error(f"chain already exists at {chain._path}") from None
         return chain
 
     @classmethod

@@ -3,6 +3,8 @@ from pathlib import Path
 import pytest
 
 from thermoledger import ledger
+from thermoledger.canonical import canonical_json
+from thermoledger.dagstore import MAX_LINKS
 from thermoledger.keys import SigningKey
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -52,3 +54,10 @@ def chain(genesis_config, sealer):
 
 def sensor_pool(count: int, first_seed: int = 10) -> tuple[SigningKey, ...]:
     return tuple(seeded_key(first_seed + i) for i in range(count))
+
+
+def over_cap_root() -> bytes:
+    """Canonical encoding of an interior node with MAX_LINKS + 1 links, which
+    DagNode refuses to build."""
+    links = [{"name": "", "hash": f"{i:064x}", "size": "1"} for i in range(MAX_LINKS + 1)]
+    return canonical_json({"data": "", "links": links})

@@ -20,7 +20,7 @@ from click.testing import CliRunner
 
 from thermoledger import exchange, ledger, telemetry
 from thermoledger.cli import main as cli_main
-from thermoledger.dagstore import ObjectStore, add_file, cat_file, stat
+from thermoledger.dagstore import NotFound, ObjectStore, add_file, cat_file, stat
 from thermoledger.envelope import Identity, WrongRecipient, decrypt, encrypt_for
 from thermoledger.errors import Error
 from thermoledger.exchange import HashMismatch, fetch_dag, serve
@@ -206,7 +206,8 @@ def test_criterion_6_end_to_end_replay(tmp_path):
             with pytest.raises(HashMismatch) as excinfo:
                 fetch_dag(server.endpoint, root, victim)
         assert excinfo.value.hash == poisoned
-        assert not victim.contains(poisoned)
+        with pytest.raises(NotFound):
+            victim.get_bytes(poisoned)
         victim.audit()
 
 

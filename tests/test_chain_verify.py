@@ -5,6 +5,7 @@ from dataclasses import replace
 import pytest
 
 from thermoledger import ledger
+from thermoledger.errors import Error
 from thermoledger.keys import SigningKey
 from thermoledger.ledger import (
     BadSealerSignature,
@@ -197,6 +198,16 @@ class TestPersistence:
         reopened = ledger.Chain.open(path, genesis_config)
         assert reopened.head.block_hash == chain.head.block_hash
         assert reopened.state.accounts_digest() == chain.state.accounts_digest()
+
+    def test_create_refuses_existing_chain_file(self, genesis_config, sealer, sensor, bms, tmp_path):
+        path = tmp_path / "chain.jsonl"
+        chain = ledger.Chain.create(genesis_config, sealer, path)
+        chain.seal([build_and_sign_tx(sensor, bms.address, 5, nonce=0)], sealer, timestamp=7)
+        before = path.read_bytes()
+        with pytest.raises(Error, match="already exists"):
+            ledger.Chain.create(genesis_config, sealer, path)
+        assert path.read_bytes() == before
+        assert len(load_chain(path)) == 2
 
     def test_genesis_config_round_trip(self, genesis_config, tmp_path):
         path = tmp_path / "genesis.json"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from thermoledger.dagstore import (
     CHUNK_SIZE,
     MAX_FILE_SIZE,
+    MAX_LINKS,
     ChunkTooLarge,
     CorruptObject,
     DagNode,
@@ -24,6 +25,8 @@ from thermoledger.dagstore import (
     hash_node,
     stat,
 )
+
+from .conftest import over_cap_root
 
 # Independently computed: sha256 of {"data":"YWJj","links":[]} built by hand.
 LEAF_ABC_GOLDEN = "a08d2b75b4d2b2f52e22e412d7f9850f7f70d6169ab76b2fa77e8bcf2f960bce"
@@ -68,6 +71,14 @@ class TestHashNode:
     def test_single_link_interior_rejected(self):
         with pytest.raises(InvalidNode):
             DagNode(links=(Link("", "aa" * 32, 1),))
+
+    def test_interior_node_capped_at_max_links(self):
+        links = tuple(Link("", f"{i:064x}", 1) for i in range(MAX_LINKS + 1))
+        assert len(DagNode(links=links[:MAX_LINKS]).links) == MAX_LINKS
+        with pytest.raises(InvalidNode):
+            DagNode(links=links)
+        with pytest.raises(ValueError, match="limit 1024"):
+            decode_node(over_cap_root())
 
     def test_encoding_round_trip(self):
         node = DagNode(links=(Link("", "aa" * 32, 7), Link("", "bb" * 32, 9)))

@@ -1,8 +1,11 @@
+import hashlib
 import random
 import select
 import socket
 import struct
 import threading
+import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -21,6 +24,8 @@ from thermoledger.exchange import (
     serve,
     write_frame,
 )
+
+from .conftest import over_cap_root
 
 
 @pytest.fixture
@@ -124,7 +129,6 @@ class TestServe:
             message = decode_message(read_frame(sock))
         assert message["type"] == "node"
         assert message["hash"] == root
-        import hashlib
         assert hashlib.sha256(message["node"]).hexdigest() == root
 
     def test_get_unknown_hash_returns_missing(self, remote):
@@ -165,6 +169,12 @@ class TestServe:
             write_frame(sock, encode_get(root))
             message = decode_message(read_frame(sock))
         assert message["type"] == "missing"
+
+    def test_stop_returns_promptly(self, remote):
+        start = time.monotonic()
+        with serve(remote):
+            pass
+        assert time.monotonic() - start < 0.25
 
     def test_garbage_frame_closes_only_that_connection(self, remote):
         root = add_file(remote, b"still serving")
@@ -216,7 +226,8 @@ class TestFetchDag:
             with pytest.raises(HashMismatch) as excinfo:
                 fetch_dag(server.endpoint, root, local)
         assert excinfo.value.hash == poisoned
-        assert not local.contains(poisoned)
+        with pytest.raises(NotFound):
+            local.get_bytes(poisoned)
         local.audit()
 
     def test_corrupted_payload_fuzz_never_stores(self, remote, local):
@@ -232,7 +243,8 @@ class TestFetchDag:
             with serve(_LyingStore(remote, target, payload)) as server:
                 with pytest.raises(HashMismatch):
                     fetch_dag(server.endpoint, root, local)
-            assert not local.contains(target)
+            with pytest.raises(NotFound):
+                local.get_bytes(target)
         local.audit()
 
 
@@ -289,7 +301,8 @@ class TestFetchDag:
             with pytest.raises(RemoteMissing) as excinfo:
                 fetch_dag(server.endpoint, root, local)
         assert excinfo.value.hash == hole
-        assert not local.contains(hole)
+        with pytest.raises(NotFound):
+            local.get_bytes(hole)
         assert _tmp_files(local) == []
         local.audit()
 
@@ -305,6 +318,37 @@ class TestFetchDag:
         assert transferred == 1
         assert cat_file(local, root) == content
         local.audit()
+
+    def test_complete_local_dag_needs_no_peer(self, local):
+        content = _content(3 * CHUNK_SIZE, seed=15)
+        root = add_file(local, content)
+        closed = socket.create_server(("127.0.0.1", 0))
+        endpoint = closed.getsockname()
+        closed.close()
+        transferred, nodes = fetch_dag(endpoint, root, local)
+        assert transferred == 0
+        assert cat_file(nodes, root) == content
+
+    def test_local_root_with_missing_child_fetches_only_it(self, remote, local):
+        content = _content(3 * CHUNK_SIZE, seed=16)
+        root = add_file(remote, content)
+        add_file(local, content)
+        missing = _leaves(root, local)[2]
+        local.delete(missing)
+        with _CountingPeer(remote) as peer:
+            transferred, _ = fetch_dag(peer.endpoint, root, local)
+        assert peer.requested == [missing]
+        assert transferred == 1
+        assert cat_file(local, root) == content
+
+    def test_root_over_link_cap_refused_before_any_child_get(self, local):
+        raw = over_cap_root()
+        root = hashlib.sha256(raw).hexdigest()
+        with _CountingPeer(SimpleNamespace(get_bytes={root: raw}.__getitem__)) as peer:
+            with pytest.raises(ProtocolError, match="not a canonical node"):
+                fetch_dag(peer.endpoint, root, local)
+        assert peer.requested == [root]
+        assert list(local.hashes()) == []
 
 
 class TestEndToEnd:
