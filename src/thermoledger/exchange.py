@@ -147,7 +147,7 @@ class _Handler(socketserver.BaseRequestHandler):
                     # refuse to serve bytes that fail local verification
                     reply = encode_missing(hash)
                 write_frame(self.request, reply)
-        except (Error, OSError):
+        except (Error, ConnectionError, TimeoutError):
             return  # a broken or hostile connection ends; the server goes on
 
 

@@ -493,9 +493,13 @@ def append_block(path: str | Path, block: Block) -> None:
 
 
 def write_chain(path: str | Path, blocks: Iterable[Block]) -> None:
-    with open(path, "wb") as fp:
-        for block in blocks:
-            fp.write(block.canonical_line() + b"\n")
+    """Write blocks to a new chain file; Error if one already exists."""
+    try:
+        with open(path, "xb") as fp:
+            for block in blocks:
+                fp.write(block.canonical_line() + b"\n")
+    except FileExistsError:
+        raise Error(f"chain already exists at {path}") from None
 
 
 def load_chain(path: str | Path) -> list[Block]:
@@ -529,11 +533,7 @@ class Chain:
         genesis, state = seal_block([], pre_genesis, sealer_key, GENESIS_TIMESTAMP)
         chain = cls([genesis], state, path)
         if chain._path is not None:
-            try:
-                with open(chain._path, "xb") as fp:
-                    fp.write(genesis.canonical_line() + b"\n")
-            except FileExistsError:
-                raise Error(f"chain already exists at {chain._path}") from None
+            write_chain(chain._path, chain._blocks)
         return chain
 
     @classmethod

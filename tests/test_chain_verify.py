@@ -206,6 +206,8 @@ class TestPersistence:
         before = path.read_bytes()
         with pytest.raises(Error, match="already exists"):
             ledger.Chain.create(genesis_config, sealer, path)
+        with pytest.raises(Error, match="already exists"):
+            write_chain(path, chain.blocks[:1])
         assert path.read_bytes() == before
         assert len(load_chain(path)) == 2
 

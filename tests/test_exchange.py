@@ -170,6 +170,18 @@ class TestServe:
             message = decode_message(read_frame(sock))
         assert message["type"] == "missing"
 
+    def test_store_read_error_reaches_handle_error(self, remote, monkeypatch):
+        def unreadable(hash):
+            raise PermissionError(13, "Permission denied", hash)
+
+        monkeypatch.setattr(remote, "get_bytes", unreadable)
+        reported = []
+        with serve(remote) as server, socket.create_connection(server.endpoint, timeout=5) as sock:
+            monkeypatch.setattr(server, "handle_error", lambda request, address: reported.append(address))
+            write_frame(sock, encode_get("11" * 32))
+            assert read_frame(sock) is None  # connection ends after the report
+        assert len(reported) == 1
+
     def test_stop_returns_promptly(self, remote):
         start = time.monotonic()
         with serve(remote):
