@@ -13,6 +13,10 @@ its value (uppercase hex, leading zeros, stray signs, loose base64) is
 rejected, so a stored encoding can always be reproduced byte-for-byte from
 its parse. Every record decoder goes through here and raises ValueError,
 which each caller maps to its own exception type.
+
+Every file the program keeps is written here too, by ``create_file``
+(exclusive), ``append_records`` (the lines ``read_records`` reads) or
+``replace_file`` (a sibling renamed over the target: old bytes or new).
 """
 
 from __future__ import annotations
@@ -20,9 +24,10 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import os
 import re
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 _UINT_RE = re.compile(r"0|[1-9][0-9]*")
 _HEX_RE = re.compile(r"0x(?:[0-9a-f][0-9a-f])*")
@@ -156,3 +161,34 @@ def read_records(path: str | Path, from_obj: Callable[[dict], object], error: Ca
             except ValueError as exc:
                 raise error(f"line {lineno}: {exc}") from exc
     return records
+
+
+def append_records(path: str | Path, records: Iterable[dict]) -> None:
+    """Append each record's canonical JSON as one line: what read_records reads."""
+    with open(path, "ab") as fp:
+        fp.write(b"".join(canonical_json(record) + b"\n" for record in records))
+
+
+def create_file(path: str | Path, data: bytes, mode: int) -> None:
+    """Create ``path`` holding ``data``, ``mode`` (less the umask) from the first byte;
+    a file already holding exactly ``data`` is kept, other bytes raise FileExistsError."""
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode)
+    except FileExistsError:
+        if Path(path).read_bytes() != data:
+            raise
+        return
+    with os.fdopen(fd, "wb") as fp:
+        fp.write(data)
+
+
+def replace_file(path: str | Path, data: bytes, mode: int) -> None:
+    """Put ``data`` at ``path`` in one rename; the ``.tmp-`` sibling is removed on any failure."""
+    path = Path(path)
+    tmp = path.with_name(f".tmp-{os.urandom(8).hex()}-{path.name}")
+    try:
+        create_file(tmp, data, mode)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -26,7 +26,7 @@ from pathlib import Path
 import click
 
 from . import dagstore, envelope, exchange, ledger, telemetry
-from .canonical import read_records
+from .canonical import append_records, read_records, replace_file
 from .errors import Error
 from .keys import SigningKey, load_signing_key, load_signing_public, require_address, save_signing_key
 
@@ -141,8 +141,7 @@ def init(config: Config, genesis_file: Path):
     alloc = ledger.load_genesis_config(genesis_file)
     sealer = load_signing_key(config.sealer_key_path)
     config.data_dir.mkdir(parents=True, exist_ok=True)
-    if not (config.genesis_path.exists() and genesis_file.samefile(config.genesis_path)):
-        config.genesis_path.write_bytes(genesis_file.read_bytes())
+    replace_file(config.genesis_path, genesis_file.read_bytes(), 0o666)
     chain = ledger.Chain.create(alloc, sealer, config.chain_path)
     click.echo(f"genesis {chain.head.block_hash.hex()} sealer {sealer.address}")
 
@@ -164,13 +163,11 @@ def ingest(config: Config, csv_file: Path, receiver: str, rotate_every: int | No
         readings,
         rotation,
         receiver,
-        chain.state_after(_load_pending(config.pending_path)),  # nonces continue after the queue
+        chain.state_after(_queued(config, chain)),  # nonces continue after the queue
         offset_c=config.offset_c,
     )
     if no_seal:
-        with open(config.pending_path, "ab") as fp:
-            for tx in txs:
-                fp.write(tx.canonical() + b"\n")
+        append_records(config.pending_path, [tx.to_obj() for tx in txs])
         click.echo(f"queued {len(txs)} transactions in {config.pending_path}")
         return
     sealer = load_signing_key(config.sealer_key_path)
@@ -183,12 +180,18 @@ def ingest(config: Config, csv_file: Path, receiver: str, rotate_every: int | No
 def seal(config: Config):
     """Seal queued pending transactions (an empty queue seals an empty block)."""
     chain = config.open_chain()
-    pending = _load_pending(config.pending_path)
+    pending = _queued(config, chain)
     sealer = load_signing_key(config.sealer_key_path)
     block = chain.seal(pending, sealer)
     if config.pending_path.exists():
-        config.pending_path.write_bytes(b"")
+        replace_file(config.pending_path, b"", 0o666)
     click.echo(f"sealed block {block.height} with {len(pending)} transactions")
+
+
+def _queued(config: Config, chain: ledger.Chain) -> list[ledger.Transaction]:
+    """The queue less what the head block holds: a seal cut off before its reset left those."""
+    sealed = {tx.tx_hash for tx in chain.head.transactions}
+    return [tx for tx in _load_pending(config.pending_path) if tx.tx_hash not in sealed]
 
 
 def _load_pending(path: Path) -> list[ledger.Transaction]:

@@ -7,21 +7,19 @@ is the SHA-256 of its canonical encoding, so identical content stores
 identical nodes exactly once, and any byte of corruption is detectable by
 rehashing.
 
-Nodes persist under ``objects/<first 2 hex>/<remaining 62 hex>``. Writes
-are idempotent and crash-atomic (temp file, then rename), which also makes
-concurrent puts safe without a lock; a write over an object whose bytes no
-longer hash to its name replaces it.
+Nodes persist under ``objects/<first 2 hex>/<remaining 62 hex>``, mode
+0600. Writes are idempotent and crash-atomic (``canonical.replace_file``),
+which also makes concurrent puts safe without a lock; a write over an
+object whose bytes no longer hash to its name replaces it.
 """
 
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Mapping
 
-from .canonical import b64, canonical_json, parse_b64, parse_bare_hex64, parse_canonical, parse_uint, require_keys, sha256, uint_to_str
+from .canonical import b64, canonical_json, parse_b64, parse_bare_hex64, parse_canonical, parse_uint, replace_file, require_keys, sha256, uint_to_str
 from .errors import Error
 
 CHUNK_SIZE = 262_144
@@ -161,15 +159,7 @@ class ObjectStore:
             pass  # absent or damaged: write it afresh
         path = self._path(hash)
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
-        try:
-            with os.fdopen(fd, "wb") as fp:
-                fp.write(raw)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        replace_file(path, raw, 0o600)
         return True
 
     def get_bytes(self, hash: str) -> bytes:

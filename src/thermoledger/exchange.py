@@ -65,7 +65,10 @@ class ProtocolError(Error):
 def write_frame(sock: socket.socket, payload: bytes) -> None:
     if len(payload) > MAX_FRAME_SIZE:
         raise ProtocolError(f"frame of {len(payload)} bytes exceeds the {MAX_FRAME_SIZE} cap")
-    sock.sendall(_LEN.pack(len(payload)) + payload)
+    try:
+        sock.sendall(_LEN.pack(len(payload)) + payload)
+    except OSError as exc:  # timeouts included
+        raise ConnectionLost(f"socket error: {exc}") from exc
 
 
 def read_frame(sock: socket.socket) -> bytearray | None:
@@ -147,7 +150,7 @@ class _Handler(socketserver.BaseRequestHandler):
                     # refuse to serve bytes that fail local verification
                     reply = encode_missing(hash)
                 write_frame(self.request, reply)
-        except (Error, ConnectionError, TimeoutError):
+        except Error:
             return  # a broken or hostile connection ends; the server goes on
 
 
@@ -202,10 +205,7 @@ class _PeerConnection:
             raise ConnectionLost(f"cannot connect to {endpoint[0]}:{endpoint[1]}: {exc}") from exc
 
     def send_get(self, hash: str) -> None:
-        try:
-            write_frame(self._sock, encode_get(hash))
-        except OSError as exc:
-            raise ConnectionLost(f"socket error: {exc}") from exc
+        write_frame(self._sock, encode_get(hash))
 
     def request_node(self, hash: str) -> bytes:
         """Read the reply to the oldest outstanding get, which is for hash,

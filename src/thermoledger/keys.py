@@ -10,13 +10,13 @@ type-checks against the class itself.
 Key files are the one on-disk key format for both signing and encryption
 keys: a JSON object ``{kind, private_key}`` (mode 0600) with a ``PATH.pub``
 companion ``{kind-public, public_key}``, each value 32 bytes of canonical
-0x-hex. Saving never replaces a file that holds a different key.
+0x-hex. Saving goes through ``canonical.create_file``: the private key is
+0600 from its first byte, and a file holding another key is never replaced.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import re
 from pathlib import Path
 
@@ -27,7 +27,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PublicKey,
 )
 
-from .canonical import bytes_to_hex, parse_hex, parse_object, sha256
+from .canonical import bytes_to_hex, create_file, parse_hex, parse_object, sha256
 from .errors import InvalidKey
 
 PUBLIC_KEY_SIZE = 32
@@ -106,15 +106,10 @@ def save_key_pair(path: str | Path, kind: str, private: bytes, public: bytes) ->
 
 
 def _create_key_file(path: Path, obj: dict, mode: int) -> None:
-    data = (json.dumps(obj, indent=2) + "\n").encode("ascii")
     try:
-        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode)
+        create_file(path, (json.dumps(obj, indent=2) + "\n").encode("ascii"), mode)
     except FileExistsError:
-        if path.read_bytes() != data:
-            raise InvalidKey(f"key file {path} already exists; refusing to replace it") from None
-        return
-    with os.fdopen(fd, "wb") as fp:
-        fp.write(data)
+        raise InvalidKey(f"key file {path} already exists; refusing to replace it") from None
 
 
 def load_key(path: str | Path, kind: str) -> bytes:

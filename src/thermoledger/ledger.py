@@ -28,12 +28,15 @@ from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .canonical import (
+    append_records,
     bytes_to_hex,
     canonical_json,
+    create_file,
     parse_hex,
     parse_object,
     parse_uint,
     read_records,
+    replace_file,
     require_keys,
     sha256,
     uint_to_str,
@@ -226,9 +229,6 @@ class Block:
         obj["block_hash"] = bytes_to_hex(self.block_hash)
         obj["transactions"] = [tx.to_obj() for tx in self.transactions]
         return obj
-
-    def canonical_line(self) -> bytes:
-        return canonical_json(self.to_obj())
 
     @classmethod
     def from_obj(cls, obj: dict) -> "Block":
@@ -472,7 +472,7 @@ def query_transactions(
 
 def write_genesis_config(path: str | Path, alloc: Mapping[str, int]) -> None:
     obj = {require_address(addr): uint_to_str(bal) for addr, bal in alloc.items()}
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    replace_file(path, (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode("ascii"), 0o666)
 
 
 def load_genesis_config(path: str | Path) -> tuple[tuple[str, int], ...]:
@@ -488,18 +488,7 @@ def load_genesis_config(path: str | Path) -> tuple[tuple[str, int], ...]:
 
 
 def append_block(path: str | Path, block: Block) -> None:
-    with open(path, "ab") as fp:
-        fp.write(block.canonical_line() + b"\n")
-
-
-def write_chain(path: str | Path, blocks: Iterable[Block]) -> None:
-    """Write blocks to a new chain file; Error if one already exists."""
-    try:
-        with open(path, "xb") as fp:
-            for block in blocks:
-                fp.write(block.canonical_line() + b"\n")
-    except FileExistsError:
-        raise Error(f"chain already exists at {path}") from None
+    append_records(path, [block.to_obj()])
 
 
 def load_chain(path: str | Path) -> list[Block]:
@@ -528,12 +517,15 @@ class Chain:
         sealer_key: SigningKey,
         path: str | Path | None = None,
     ) -> "Chain":
-        """Seal genesis; with a path, write it to a new chain file (Error if one exists)."""
+        """Seal genesis; with a path, create the chain file (kept if it holds just this genesis, else Error)."""
         pre_genesis = _pre_genesis(genesis_config, sealer_key.public_bytes)
         genesis, state = seal_block([], pre_genesis, sealer_key, GENESIS_TIMESTAMP)
         chain = cls([genesis], state, path)
         if chain._path is not None:
-            write_chain(chain._path, chain._blocks)
+            try:
+                create_file(chain._path, canonical_json(genesis.to_obj()) + b"\n", 0o666)
+            except FileExistsError:
+                raise Error(f"chain already exists at {chain._path}") from None
         return chain
 
     @classmethod

@@ -19,13 +19,14 @@ import pytest
 from click.testing import CliRunner
 
 from thermoledger import exchange, ledger, telemetry
+from thermoledger.canonical import append_records
 from thermoledger.cli import main as cli_main
 from thermoledger.dagstore import NotFound, ObjectStore, add_file, cat_file, stat
 from thermoledger.envelope import Identity, WrongRecipient, decrypt, encrypt_for
 from thermoledger.errors import Error
 from thermoledger.exchange import HashMismatch, fetch_dag, serve
 from thermoledger.keys import SigningKey
-from thermoledger.ledger import build_and_sign_tx, load_chain, verify_chain, write_chain
+from thermoledger.ledger import build_and_sign_tx, load_chain, verify_chain
 
 from .conftest import FIXTURE_CSV, FIXTURE_VALUES, PER_SENSOR_ALLOCATION, seeded_key, sensor_pool
 
@@ -100,7 +101,7 @@ def test_criterion_3_tamper_detection(tmp_path):
         sealer, timestamp=200,
     )
     path = tmp_path / "chain.jsonl"
-    write_chain(path, chain.blocks)
+    append_records(path, [b.to_obj() for b in chain.blocks])
     original = path.read_bytes()
 
     with criterion(3, "tamper detection", budget_s=10.0):

@@ -1,10 +1,12 @@
 import json
+import os
 import random
 from dataclasses import replace
 
 import pytest
 
 from thermoledger import ledger
+from thermoledger.canonical import append_records, canonical_json
 from thermoledger.errors import Error
 from thermoledger.keys import SigningKey
 from thermoledger.ledger import (
@@ -18,7 +20,6 @@ from thermoledger.ledger import (
     load_chain,
     load_genesis_config,
     verify_chain,
-    write_chain,
     write_genesis_config,
 )
 
@@ -180,14 +181,14 @@ def test_concurrent_empty_seals_stay_linear(genesis_config, sealer, tmp_path):
 class TestPersistence:
     def test_chain_file_round_trip(self, three_block_chain, genesis_config, tmp_path):
         path = tmp_path / "chain.jsonl"
-        write_chain(path, three_block_chain.blocks)
+        append_records(path, [b.to_obj() for b in three_block_chain.blocks])
         loaded = load_chain(path)
         assert loaded == list(three_block_chain.blocks)
         assert [b.claimed_hash for b in loaded] == [b.block_hash for b in three_block_chain.blocks]
 
     def test_replay_reproduces_identical_accounts(self, three_block_chain, genesis_config, tmp_path):
         path = tmp_path / "chain.jsonl"
-        write_chain(path, three_block_chain.blocks)
+        append_records(path, [b.to_obj() for b in three_block_chain.blocks])
         replayed = verify_chain(load_chain(path), genesis_config)
         assert replayed.accounts_digest() == three_block_chain.state.accounts_digest()
 
@@ -206,10 +207,17 @@ class TestPersistence:
         before = path.read_bytes()
         with pytest.raises(Error, match="already exists"):
             ledger.Chain.create(genesis_config, sealer, path)
-        with pytest.raises(Error, match="already exists"):
-            write_chain(path, chain.blocks[:1])
         assert path.read_bytes() == before
         assert len(load_chain(path)) == 2
+
+    def test_create_keeps_a_file_holding_its_genesis_line(self, genesis_config, sealer, tmp_path):
+        path = tmp_path / "chain.jsonl"
+        genesis = ledger.Chain.create(genesis_config, sealer).head
+        path.write_bytes(canonical_json(genesis.to_obj()) + b"\n")
+        os.utime(path, ns=(0, 0))  # any write would move the mtime
+        assert ledger.Chain.create(genesis_config, sealer, path).head == genesis
+        assert path.stat().st_mtime_ns == 0
+        assert load_chain(path) == [genesis]
 
     def test_genesis_config_round_trip(self, genesis_config, tmp_path):
         path = tmp_path / "genesis.json"
@@ -230,7 +238,7 @@ class TestPersistence:
 
     def test_load_rejects_unknown_keys(self, three_block_chain, tmp_path):
         path = tmp_path / "chain.jsonl"
-        write_chain(path, three_block_chain.blocks)
+        append_records(path, [b.to_obj() for b in three_block_chain.blocks])
         lines = path.read_bytes().splitlines()
         obj = json.loads(lines[1])
         obj["extra"] = "1"
@@ -243,7 +251,7 @@ class TestPersistence:
 class TestTamperFuzz:
     def test_every_single_byte_mutation_detected(self, three_block_chain, genesis_config, tmp_path):
         path = tmp_path / "chain.jsonl"
-        write_chain(path, three_block_chain.blocks)
+        append_records(path, [b.to_obj() for b in three_block_chain.blocks])
         original = path.read_bytes()
         rng = random.Random(0xC0FFEE)
         detected = 0

@@ -72,6 +72,16 @@ class TestChainCommands:
         result = runner.invoke(main, ["--data-dir", str(data), "init", "--genesis", str(tmp_path / "nope.json")])
         assert result.exit_code == 2
 
+    def test_init_from_the_sites_own_genesis_file(self, tmp_path):
+        data = tmp_path / "fresh"
+        address = run("--data-dir", data, "keygen", "--out", data / "sealer.key").output.strip()
+        genesis = data / "genesis.json"
+        genesis.write_text(json.dumps({address: "5"}, indent=4))
+        before = genesis.read_bytes()
+        run("--data-dir", data, "init", "--genesis", genesis)
+        assert genesis.read_bytes() == before
+        assert run("--data-dir", data, "balance", address).output.strip() == "5"
+
     def test_ingest_seals_one_block(self, workspace):
         result = _ingest_fixture(workspace)
         assert "sealed block 1 with 24 transactions" in result.output
@@ -173,6 +183,20 @@ class TestChainCommands:
         assert result.stderr.startswith("SealRejected: ")
         assert [(data / name).read_bytes() for name in ("chain.jsonl", "pending.jsonl")] == before
         assert "sealed block 1 with 24 transactions" in run("--data-dir", data, "seal").output
+
+    def test_seal_cut_off_before_queue_reset_recovers(self, workspace):
+        # a seal that appended its block but never emptied the queue
+        data = workspace["data"]
+        _ingest_fixture(workspace, "--no-seal")
+        queued = (data / "pending.jsonl").read_bytes()
+        run("--data-dir", data, "seal")
+        (data / "pending.jsonl").write_bytes(queued)
+        assert "sealed block 2 with 0 transactions" in run("--data-dir", data, "seal").output
+        _ingest_fixture(workspace, "--no-seal")
+        assert "sealed block 3 with 24 transactions" in run("--data-dir", data, "seal").output
+        run("--data-dir", data, "verify")
+        rows = run("--data-dir", data, "explorer").output.splitlines()[1:]
+        assert len(rows) == len(set(rows)) == 48
 
     def test_keygen_refuses_to_replace_a_key(self, workspace):
         data = workspace["data"]

@@ -13,6 +13,7 @@ from thermoledger.dagstore import CHUNK_SIZE, NotFound, ObjectStore, add_file, c
 from thermoledger.envelope import Identity, decrypt, encrypt_for
 from thermoledger.exchange import (
     WINDOW,
+    ConnectionLost,
     HashMismatch,
     ProtocolError,
     RemoteMissing,
@@ -111,6 +112,17 @@ class _CountingPeer:
         self._thread.join(timeout=15)
         self._listener.close()
         assert not self._thread.is_alive()
+
+
+def test_frame_codec_maps_socket_errors_to_connection_lost():
+    a, b = socket.socketpair()
+    with a, b:
+        a.settimeout(0.01)
+        with pytest.raises(ConnectionLost):  # recv timed out
+            read_frame(a)
+        b.close()
+        with pytest.raises(ConnectionLost):  # sendall to a closed peer
+            write_frame(a, encode_get("11" * 32))
 
 
 def _leaves(root, store):
