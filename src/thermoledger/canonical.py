@@ -73,14 +73,11 @@ def uint_to_str(value: int) -> str:
     return str(value)
 
 
-def parse_uint(text: str, *, max_value: int | None = None) -> int:
+def parse_uint(text: str) -> int:
     """Parse a canonical decimal string (no sign, no leading zeros)."""
     if not isinstance(text, str) or not _UINT_RE.fullmatch(text):
         raise ValueError(f"not a canonical unsigned integer: {text!r}")
-    value = int(text)
-    if max_value is not None and value > max_value:
-        raise ValueError(f"integer out of range: {text}")
-    return value
+    return int(text)
 
 
 def bytes_to_hex(data: bytes) -> str:

@@ -20,7 +20,7 @@ import csv as csv_mod
 import io
 import sys
 from dataclasses import dataclass
-from decimal import Decimal, InvalidOperation
+from decimal import Decimal
 from pathlib import Path
 
 import click
@@ -82,9 +82,9 @@ class _Main(click.Group):
 
 def _parse_offset(ctx, param, value: str) -> Decimal:
     try:
-        offset = Decimal(value)
-    except InvalidOperation:
-        raise click.BadParameter(f"not a decimal: {value!r}")
+        offset = telemetry.parse_temperature(value)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc))
     if offset < 0:
         raise click.BadParameter("offset must be non-negative")
     return offset
@@ -100,7 +100,7 @@ def _parse_offset(ctx, param, value: str) -> Decimal:
     help="Directory holding the chain, keys, and object store.",
 )
 @click.option("--sealer-key", type=click.Path(path_type=Path), default=None, help="Sealer key file [default: DATA_DIR/sealer.key].")
-@click.option("--offset-c", default="0", show_default=True, callback=_parse_offset, help="Decimal offset added to temperatures before encoding.")
+@click.option("--offset-c", default="0", show_default=True, callback=_parse_offset, help="Non-negative temperature (at most 3 decimals) added to readings before encoding.")
 @click.pass_context
 def main(ctx, data_dir: Path, sealer_key: Path | None, offset_c: Decimal):
     """Private temperature ledger and encrypted record-file exchange."""
@@ -158,7 +158,11 @@ def ingest(config: Config, csv_file: Path, receiver: str, rotate_every: int | No
     receiver = _address_arg(receiver)
     chain = config.open_chain()
     readings = telemetry.ingest_csv(csv_file)
-    rotation = telemetry.RotationPolicy(rotate_every, tuple(load_signing_key(path) for path in sender_keys))
+    pool = tuple(load_signing_key(path) for path in sender_keys)
+    try:
+        rotation = telemetry.RotationPolicy(rotate_every, pool)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     txs = telemetry.pump(
         readings,
         rotation,
@@ -224,12 +228,12 @@ def explorer(config: Config, receiver: str | None, sender: str | None, fmt: str,
     out = io.StringIO()
     writer = csv_mod.writer(out, delimiter="\t" if fmt == "tsv" else ",", lineterminator="\n")
     writer.writerow(["Tx Hash", "Block", "From", "To", "Value"])
-    for row in rows:
+    for height, tx in rows:
         if raw:
-            value = str(row.value)
+            value = str(tx.value)
         else:
-            value = telemetry.format_temperature(telemetry.decode_value(row.value, config.offset_c))
-        writer.writerow(["0x" + row.tx_hash.hex(), str(row.height), row.sender, row.recipient, value])
+            value = telemetry.format_temperature(telemetry.decode_value(tx.value, config.offset_c))
+        writer.writerow(["0x" + tx.tx_hash.hex(), str(height), tx.sender, tx.recipient, value])
     click.echo(out.getvalue(), nl=False)
 
 
@@ -287,7 +291,7 @@ def fetch(config: Config, root: str, peer: str, identity_path: Path, out_path: P
 
 
 @main.command()
-@click.option("--port", envvar="THERMOLEDGER_PORT", default=DEFAULT_PORT, show_default=True, help="Listen port.")
+@click.option("--port", envvar="THERMOLEDGER_PORT", type=click.IntRange(0, 65535), default=DEFAULT_PORT, show_default=True, help="Listen port.")
 @click.option("--host", default="0.0.0.0", show_default=True)
 @click.pass_obj
 def serve(config: Config, port: int, host: str):

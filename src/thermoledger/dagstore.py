@@ -64,6 +64,8 @@ class Link:
     size: int
 
     def __post_init__(self):
+        if not isinstance(self.name, str):
+            raise ValueError("link name must be a string")
         parse_bare_hex64(self.hash)
         if not isinstance(self.size, int) or isinstance(self.size, bool) or self.size < 0:
             raise ValueError("link size must be a non-negative integer")
@@ -112,9 +114,7 @@ def decode_node(raw: bytes) -> DagNode:
     links = []
     for entry in obj["links"]:
         require_keys(entry, {"name", "hash", "size"}, "link")
-        if not isinstance(entry["name"], str):
-            raise ValueError("link name must be a string")
-        links.append(Link(name=entry["name"], hash=parse_bare_hex64(entry["hash"]), size=parse_uint(entry["size"])))
+        links.append(Link(name=entry["name"], hash=entry["hash"], size=parse_uint(entry["size"])))
     try:
         return DagNode(data=data, links=tuple(links))
     except (InvalidNode, ChunkTooLarge) as exc:
@@ -239,6 +239,8 @@ def cat_file(store: ObjectStore | Mapping[str, DagNode], root: str) -> bytes:
         child = store.get(link.hash)
         if not child.is_leaf:
             raise CorruptObject(link.hash, "interior node below the root is not supported")
+        if len(child.data) != link.size:
+            raise CorruptObject(link.hash, f"leaf holds {len(child.data)} bytes, its link says {link.size}")
         parts.append(child.data)
     return b"".join(parts)
 

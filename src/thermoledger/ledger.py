@@ -178,10 +178,10 @@ class Transaction:
     def from_obj(cls, obj: dict) -> "Transaction":
         require_keys(obj, {"from", "to", "value", "nonce", "gas_limit", "gas_price", "signature"}, "transaction")
         return cls(
-            sender=require_address(obj["from"]),
-            recipient=require_address(obj["to"]),
-            value=parse_uint(obj["value"], max_value=MAX_VALUE),
-            nonce=parse_uint(obj["nonce"], max_value=MAX_NONCE),
+            sender=obj["from"],
+            recipient=obj["to"],
+            value=parse_uint(obj["value"]),
+            nonce=parse_uint(obj["nonce"]),
             gas_limit=parse_uint(obj["gas_limit"]),
             gas_price=parse_uint(obj["gas_price"]),
             signature=parse_hex(obj["signature"]),
@@ -204,6 +204,10 @@ class Block:
     transactions: tuple[Transaction, ...]
     sealer_signature: bytes
     claimed_hash: bytes | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.height > MAX_NONCE:
+            raise ValueError("block height exceeds 2**64 - 1")
 
     def _header_obj(self) -> dict:
         return {
@@ -240,7 +244,7 @@ class Block:
         if not isinstance(obj["transactions"], list):
             raise ValueError("block transactions must be a list")
         return cls(
-            height=parse_uint(obj["height"], max_value=MAX_NONCE),
+            height=parse_uint(obj["height"]),
             prev_hash=parse_hex(obj["prev_hash"], length=32),
             merkle_root=parse_hex(obj["merkle_root"], length=32),
             timestamp=parse_uint(obj["timestamp"]),
@@ -440,23 +444,12 @@ def verify_chain(blocks: Sequence[Block], genesis_config: Sequence[tuple[str, in
     return state
 
 
-@dataclass(frozen=True)
-class TxRow:
-    """One explorer row, in chain order."""
-
-    tx_hash: bytes
-    height: int
-    sender: str
-    recipient: str
-    value: int
-
-
 def query_transactions(
     blocks: Iterable[Block],
     sender: str | None = None,
     recipient: str | None = None,
-) -> list[TxRow]:
-    """Filter transactions by address, preserving chain order."""
+) -> list[tuple[int, Transaction]]:
+    """Filter transactions by address, preserving chain order; one (height, tx) pair each."""
     rows = []
     for block in blocks:
         for tx in block.transactions:
@@ -464,7 +457,7 @@ def query_transactions(
                 continue
             if recipient is not None and tx.recipient != recipient:
                 continue
-            rows.append(TxRow(tx.tx_hash, block.height, tx.sender, tx.recipient, tx.value))
+            rows.append((block.height, tx))
     return rows
 
 
@@ -559,5 +552,5 @@ class Chain:
             self._state = new_state
             return block
 
-    def query(self, **kwargs) -> list[TxRow]:
+    def query(self, **kwargs) -> list[tuple[int, Transaction]]:
         return query_transactions(self._blocks, **kwargs)

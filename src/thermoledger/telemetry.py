@@ -6,9 +6,9 @@ an explorer read back as plain temperatures. Temperatures are handled as
 exact decimals end to end (parsed with at most 3 fractional digits), never
 as binary floats, so the encode/decode round trip is lossless.
 
-Transfers cannot be negative; sub-zero climates opt into a documented
-affine offset: value = (t + offset_c) * SCALE, where offset_c is a
-non-negative Decimal added before scaling and subtracted on decode.
+Transfers cannot be negative; sub-zero climates opt into an affine offset:
+value = (t + offset_c) * SCALE, subtracted again on decode. The CLI parses
+offset_c as a non-negative temperature, so every reading encodes exactly.
 """
 
 from __future__ import annotations

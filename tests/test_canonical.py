@@ -50,11 +50,6 @@ def test_parse_uint_strict(bad):
         parse_uint(bad)
 
 
-def test_parse_uint_max_value():
-    with pytest.raises(ValueError):
-        parse_uint("256", max_value=255)
-
-
 def test_hex_round_trip():
     data = bytes(range(32))
     assert parse_hex(bytes_to_hex(data)) == data

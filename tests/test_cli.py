@@ -11,7 +11,7 @@ from click.testing import CliRunner
 
 from thermoledger import exchange, ledger
 from thermoledger.cli import main
-from thermoledger.dagstore import ObjectStore, cat_file
+from thermoledger.dagstore import DagNode, Link, ObjectStore, cat_file
 from thermoledger.envelope import decrypt, load_identity
 from thermoledger.keys import SigningKey
 
@@ -352,6 +352,34 @@ def test_input_file_must_exist(workspace, tmp_path, option, missing):
     assert f"'{option}'" in result.stderr
 
 
+def _ingest_args(ws, offset_c, *extra):
+    return [
+        "--data-dir", ws["data"], "--offset-c", offset_c, "ingest", "--csv", FIXTURE_CSV,
+        "--to", ws["bms"], "--sender-key", ws["data"] / "sensor.key", *extra,
+    ]
+
+
+# operator input -> its command line for a workspace
+HOSTILE_INPUTS = {
+    "offset NaN": lambda ws: _ingest_args(ws, "NaN"),
+    "offset Infinity": lambda ws: _ingest_args(ws, "Infinity"),
+    "offset 1e80": lambda ws: _ingest_args(ws, "1e80"),
+    "offset 10^-19": lambda ws: _ingest_args(ws, "0.0000000000000000001"),
+    "rotate-every 0": lambda ws: _ingest_args(ws, "0", "--rotate-every", "0"),
+    "repeated sender key": lambda ws: _ingest_args(ws, "0", "--sender-key", ws["data"] / "sensor.key"),
+    "port 99999": lambda ws: ["--data-dir", ws["data"], "serve", "--host", "127.0.0.1", "--port", "99999"],
+}
+
+
+@pytest.mark.parametrize("name", HOSTILE_INPUTS)
+def test_hostile_operator_input_is_one_usage_error(workspace, name):
+    result = runner.invoke(main, [str(a) for a in HOSTILE_INPUTS[name](workspace)])
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit), repr(result.exception)
+    assert len([line for line in result.stderr.splitlines() if line.startswith("Error: ")]) == 1
+    assert "Traceback" not in result.stderr
+    assert (workspace["data"] / "chain.jsonl").read_bytes().count(b"\n") == 1  # genesis only
+
+
 class TestFileCommands:
     def test_keygen_encryption_prints_fingerprint(self, tmp_path):
         out = run("keygen", "--kind", "encryption", "--out", tmp_path / "r.key").output.strip()
@@ -433,6 +461,22 @@ class TestFileCommands:
         ])
         assert result.exit_code == 1
         assert result.stderr.startswith("ConnectionLost")
+
+    def test_fetch_of_links_that_understate_their_leaves_fails(self, tmp_path):
+        run("keygen", "--kind", "encryption", "--out", tmp_path / "r.key")
+        store = ObjectStore(tmp_path / "publisher" / "objects")
+        leaves = [store.put(DagNode(data=bytes(size)))[0] for size in (1000, 2000)]
+        root, _ = store.put(DagNode(links=tuple(Link(name="", hash=leaf, size=1) for leaf in leaves)))
+        with exchange.serve(store) as server:
+            host, port = server.endpoint
+            result = runner.invoke(main, [
+                "--data-dir", str(tmp_path / "fetcher"), "file", "fetch",
+                "--root", root, "--from", f"{host}:{port}",
+                "--identity", str(tmp_path / "r.key"), "--out", str(tmp_path / "out.bin"),
+            ])
+        assert result.exit_code == 1
+        assert result.stderr.startswith(f"CorruptObject: {leaves[0]}: ")
+        assert not (tmp_path / "out.bin").exists()
 
 
 class TestServeCommand:

@@ -204,6 +204,14 @@ class TestCatFile:
             cat_file(store, root)
         assert excinfo.value.hash == victim
 
+    def test_link_size_must_match_its_leaf(self, store):
+        leaves = [store.put(DagNode(data=_random_bytes(size, seed=size)))[0] for size in (1000, 2000)]
+        root, _ = store.put(DagNode(links=tuple(Link(name="", hash=leaf, size=1) for leaf in leaves)))
+        assert stat(store, root).total_size == 2
+        with pytest.raises(CorruptObject) as excinfo:
+            cat_file(store, root)
+        assert excinfo.value.hash == leaves[0]
+
 
 class TestStat:
     def test_empty_file(self, store):

@@ -141,6 +141,20 @@ def test_decoder_rejects_hostile_record(tmp_path, decoder, hostile):
         decode(tmp_path, HOSTILE[hostile](obj, field))
 
 
+def _chain_line_with(field: str, value: int) -> bytes:
+    block, tx = DECODERS["block"][0], DECODERS["pending"][0]
+    if field == "height":
+        return _encode(dict(block, height=str(value)))
+    return _encode(dict(block, transactions=[dict(tx, **{field: str(value)})]))
+
+
+@pytest.mark.parametrize("field, cap", [("height", 2**64 - 1), ("value", 2**256 - 1), ("nonce", 2**64 - 1)])
+def test_chain_line_over_a_cap_is_malformed(tmp_path, field, cap):
+    _block_line(tmp_path, _chain_line_with(field, cap))
+    with pytest.raises(ledger.MalformedBlock):
+        _block_line(tmp_path, _chain_line_with(field, cap + 1))
+
+
 def _link(node: dict, size: int) -> dict:
     return {"hash": hashlib.sha256(_encode(node)).hexdigest(), "name": "", "size": str(size)}
 

@@ -249,7 +249,7 @@ class TestQuery:
     def test_filter_by_recipient_returns_rows_in_order(self, chain, sensor, bms, sealer):
         chain = self._filled_chain(chain, sensor, bms, sealer)
         rows = chain.query(recipient=bms.address)
-        assert [row.value for row in rows] == [1, 2, 3, 100, 101]
+        assert [tx.value for _, tx in rows] == [1, 2, 3, 100, 101]
 
     def test_unknown_address_empty(self, chain, sensor, bms, sealer):
         chain = self._filled_chain(chain, sensor, bms, sealer)
@@ -259,7 +259,7 @@ class TestQuery:
         chain = self._filled_chain(chain, sensor, bms, sealer)
         rows = chain.query()
         assert len(rows) == 5
-        heights = [row.height for row in rows]
+        heights = [height for height, _ in rows]
         assert heights == sorted(heights)
 
 

@@ -1,19 +1,45 @@
-"""The settable surface, listed in full: CLI options and the defaulted
-parameters of the public API.
+"""The public surface, listed in full: the package root's names, CLI
+options and the defaulted parameters of the public API.
 
 Every option or defaulted parameter is a setting that tests and benchmarks
-must cover, so adding one has to change these lists in the same diff,
-where review sees it.
+must cover, and every root name is a second import path, so adding one has
+to change these lists in the same diff, where review sees it.
 """
 
 import importlib
 import inspect
 import pkgutil
+import shutil
+from pathlib import Path
 
 import click
 
 import thermoledger
 from thermoledger.cli import main
+
+from .conftest import FIXTURE_CSV
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# what README's Python API imports; everything else is imported from its module
+PACKAGE_EXPORTS = ["Chain", "RotationPolicy", "SigningKey", "encode_reading", "ingest_csv", "pump"]
+
+
+def test_package_root_exports_exactly_the_listed_names():
+    assert sorted(thermoledger.__all__) == PACKAGE_EXPORTS
+    for name in PACKAGE_EXPORTS:
+        getattr(thermoledger, name)
+
+
+def test_readme_python_api_runs(tmp_path, monkeypatch):
+    section = README.read_text(encoding="utf-8").split("## Python API", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    (tmp_path / "fixtures").mkdir()
+    shutil.copy(FIXTURE_CSV, tmp_path / "fixtures")
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    assert (tmp_path / "chain.jsonl").read_bytes().count(b"\n") == 2  # genesis and the fixture's block
+
 
 CLI_OPTIONS = [
     ("", "--data-dir"),
@@ -61,7 +87,6 @@ def test_cli_options_are_exactly_the_listed_ones():
 # (module, public function, method or class whose signature has it, parameter)
 DEFAULTED_PARAMETERS = [
     ("canonical", "parse_hex", "length"),
-    ("canonical", "parse_uint", "max_value"),
     ("dagstore", "CorruptObject", "reason"),
     ("dagstore", "DagNode", "data"),
     ("dagstore", "DagNode", "links"),

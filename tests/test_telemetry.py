@@ -171,7 +171,7 @@ class TestPump:
         txs = pump(readings, RotationPolicy("never", (sensor,)), bms.address, chain.state)
         chain.seal(txs, sealer, timestamp=100)
         rows = chain.query(recipient=bms.address)
-        assert [decode_value(row.value) for row in rows] == [r.temperature_c for r in readings]
+        assert [decode_value(tx.value) for _, tx in rows] == [r.temperature_c for r in readings]
 
     def test_nonces_continue_across_batches(self, chain, sensor, bms, sealer):
         rotation = RotationPolicy("never", (sensor,))
