@@ -16,5 +16,3 @@ from .ledger import Chain
 from .telemetry import RotationPolicy, encode_reading, ingest_csv, pump
 
 __all__ = ["Chain", "RotationPolicy", "SigningKey", "encode_reading", "ingest_csv", "pump"]
-
-__version__ = "0.1.0"

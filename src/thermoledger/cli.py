@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import csv as csv_mod
 import io
+import re
 import sys
 from dataclasses import dataclass
 from decimal import Decimal
@@ -82,12 +83,9 @@ class _Main(click.Group):
 
 def _parse_offset(ctx, param, value: str) -> Decimal:
     try:
-        offset = telemetry.parse_temperature(value)
+        return telemetry.require_offset(telemetry.parse_temperature(value))
     except ValueError as exc:
         raise click.BadParameter(str(exc))
-    if offset < 0:
-        raise click.BadParameter("offset must be non-negative")
-    return offset
 
 
 @click.group(cls=_Main)
@@ -96,7 +94,7 @@ def _parse_offset(ctx, param, value: str) -> Decimal:
     envvar="THERMOLEDGER_DATA_DIR",
     default="./thermoledger-data",
     show_default=True,
-    type=click.Path(path_type=Path),
+    type=click.Path(file_okay=False, path_type=Path),
     help="Directory holding the chain, keys, and object store.",
 )
 @click.option("--sealer-key", type=click.Path(path_type=Path), default=None, help="Sealer key file [default: DATA_DIR/sealer.key].")
@@ -113,7 +111,7 @@ def main(ctx, data_dir: Path, sealer_key: Path | None, offset_c: Decimal):
 
 @main.command()
 @click.option("--kind", type=click.Choice(["signing", "encryption"]), default="signing", show_default=True)
-@click.option("--out", required=True, type=click.Path(path_type=Path), help="Private key path; the public half goes to OUT.pub.")
+@click.option("--out", required=True, type=click.Path(dir_okay=False, path_type=Path), help="Private key path; the public half goes to OUT.pub.")
 def keygen(kind: str, out: Path):
     """Generate a keypair; print the address or fingerprint."""
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -274,13 +272,13 @@ def publish(config: Config, in_path: Path, recipient: Path):
 @click.option("--root", required=True)
 @click.option("--from", "peer", required=True, help="Peer to fetch from, host:port.")
 @click.option("--identity", "identity_path", required=True, type=click.Path(path_type=Path), help="Recipient's private encryption key file.")
-@click.option("--out", "out_path", required=True, type=click.Path(path_type=Path))
+@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False, path_type=Path))
 @click.pass_obj
 def fetch(config: Config, root: str, peer: str, identity_path: Path, out_path: Path):
     """Fetch a published file by root hash, verify, decrypt, and write it."""
     host, _, port_text = peer.rpartition(":")
-    if not host or not port_text.isdigit():
-        raise click.UsageError(f"peer must be host:port, got {peer!r}")
+    if not host or not re.fullmatch(r"[0-9]{1,5}", port_text) or int(port_text) > 65535:
+        raise click.UsageError(f"peer must be host:port with a port in 0-65535, got {peer!r}")
     store = dagstore.ObjectStore(config.objects_dir)
     transferred, nodes = exchange.fetch_dag((host, int(port_text)), root, store)
     sealed = dagstore.cat_file(nodes, root)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .canonical import b64, canonical_json, parse_b64, parse_bare_hex64, parse_canonical, parse_uint, replace_file, require_keys, sha256, uint_to_str
 from .errors import Error
@@ -121,9 +121,12 @@ def decode_node(raw: bytes) -> DagNode:
         raise ValueError(str(exc)) from exc
 
 
-def hash_node(node: DagNode) -> str:
-    """64-char lowercase hex digest of the node's canonical encoding."""
-    return sha256(encode_node(node)).hex()
+def check_child(link: Link, node: DagNode) -> None:
+    """A root's child is a leaf holding exactly ``link.size`` bytes; CorruptObject otherwise."""
+    if not node.is_leaf:
+        raise CorruptObject(link.hash, "interior node below the root is not supported")
+    if len(node.data) != link.size:
+        raise CorruptObject(link.hash, f"leaf holds {len(node.data)} bytes, its link says {link.size}")
 
 
 class ObjectStore:
@@ -186,22 +189,6 @@ class ObjectStore:
         except FileNotFoundError:
             raise NotFound(hash) from None
 
-    def hashes(self) -> Iterator[str]:
-        for shard in sorted(self.root.iterdir()):
-            if not shard.is_dir() or len(shard.name) != 2:
-                continue
-            for entry in sorted(shard.iterdir()):
-                if not entry.name.startswith("."):
-                    yield shard.name + entry.name
-
-    def count(self) -> int:
-        return sum(1 for _ in self.hashes())
-
-    def audit(self) -> None:
-        """Re-hash every stored object; raises CorruptObject on mismatch."""
-        for hash in self.hashes():
-            self.get(hash)
-
 
 def add_file(store: ObjectStore, content: bytes) -> str:
     """Chunk content into the store; returns the root hash.
@@ -237,10 +224,7 @@ def cat_file(store: ObjectStore | Mapping[str, DagNode], root: str) -> bytes:
     parts = []
     for link in node.links:
         child = store.get(link.hash)
-        if not child.is_leaf:
-            raise CorruptObject(link.hash, "interior node below the root is not supported")
-        if len(child.data) != link.size:
-            raise CorruptObject(link.hash, f"leaf holds {len(child.data)} bytes, its link says {link.size}")
+        check_child(link, child)
         parts.append(child.data)
     return b"".join(parts)
 

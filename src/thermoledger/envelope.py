@@ -105,8 +105,7 @@ def encrypt_for(recipient_public_key: bytes, plaintext: bytes) -> bytes:
     A fresh file key, nonce, and ephemeral keypair are drawn per call, so
     encrypting the same plaintext twice never repeats ciphertext bytes.
     """
-    if not isinstance(recipient_public_key, (bytes, bytearray)) or len(recipient_public_key) != 32:
-        raise InvalidKey("encryption public key must be 32 raw bytes")
+    recipient_fingerprint = fingerprint(recipient_public_key)
     recipient_public_key = bytes(recipient_public_key)
     try:
         recipient = X25519PublicKey.from_public_bytes(recipient_public_key)
@@ -127,7 +126,7 @@ def encrypt_for(recipient_public_key: bytes, plaintext: bytes) -> bytes:
 
     obj = {
         "version": str(VERSION),
-        "recipient_fingerprint": fingerprint(recipient_public_key),
+        "recipient_fingerprint": recipient_fingerprint,
         "wrapped_key": b64(ephemeral_public + wrap_nonce + wrapped),
         "nonce": b64(nonce),
         "ciphertext": b64(ciphertext),

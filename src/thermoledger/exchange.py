@@ -26,10 +26,9 @@ from __future__ import annotations
 import socket
 import socketserver
 import struct
-import threading
 
 from .canonical import b64, canonical_json, parse_b64, parse_bare_hex64, parse_object, require_keys, sha256
-from .dagstore import CorruptObject, DagNode, NotFound, ObjectStore, decode_node
+from .dagstore import CorruptObject, DagNode, Link, NotFound, ObjectStore, check_child, decode_node
 from .errors import Error
 
 MAX_FRAME_SIZE = 1024 * 1024
@@ -155,7 +154,8 @@ class _Handler(socketserver.BaseRequestHandler):
 
 
 class PeerServer(socketserver.ThreadingTCPServer):
-    """Serves one object store; one thread per connection."""
+    """Serves anything with a ``get_bytes(hash) -> bytes`` method, one thread
+    per connection; ``endpoint`` names the port bound (port 0 picks one)."""
 
     daemon_threads = True
     allow_reuse_address = True
@@ -163,35 +163,10 @@ class PeerServer(socketserver.ThreadingTCPServer):
     def __init__(self, store, address: tuple[str, int]):
         super().__init__(address, _Handler)
         self.store = store
-        self._thread: threading.Thread | None = None
 
     @property
     def endpoint(self) -> tuple[str, int]:
         return self.server_address[0], self.server_address[1]
-
-    def start(self) -> "PeerServer":
-        # stop() waits out one poll of serve_forever; the default poll is 0.5 s
-        self._thread = threading.Thread(target=self.serve_forever, args=(0.05,), daemon=True)
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self.shutdown()
-        self.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-
-def serve(store) -> PeerServer:
-    """Serve a store on 127.0.0.1 in a background thread; returns the handle.
-
-    Anything with a ``get_bytes(hash) -> bytes`` method can be served. The
-    port is ephemeral; read it back from ``endpoint``.
-    """
-    return PeerServer(store, ("127.0.0.1", 0)).start()
 
 
 class _PeerConnection:
@@ -245,9 +220,9 @@ def fetch_dag(endpoint: tuple[str, int], root: str, store: ObjectStore) -> tuple
     up to WINDOW gets outstanding; the connection is opened only if some
     node is missing. Every received node is verified (its bytes must hash
     to the requested name and parse as a canonical node of at most 1024
-    links, and a child must be a leaf) before its bytes are stored as
-    received, so a lying peer aborts the fetch with HashMismatch and
-    leaves the store clean.
+    links, and a child must be a leaf of its link's size) before its bytes
+    are stored as received, so a lying peer aborts the fetch with
+    HashMismatch or ProtocolError and leaves the store clean.
     """
     parse_bare_hex64(root)
     nodes: dict[str, DagNode | None] = {}
@@ -255,20 +230,21 @@ def fetch_dag(endpoint: tuple[str, int], root: str, store: ObjectStore) -> tuple
     transferred = 0
     try:
         for child in (False, True):
-            wanted = []
-            for hash in [link.hash for link in nodes[root].links] if child else [root]:
+            wanted: list[tuple[str, Link | None]] = []
+            for link in nodes[root].links if child else [None]:
+                hash = root if link is None else link.hash
                 if hash not in nodes:
                     nodes[hash] = _local(store, hash)
                     if nodes[hash] is None:
-                        wanted.append(hash)
+                        wanted.append((hash, link))
             if wanted and conn is None:
                 conn = _PeerConnection(endpoint)
             sent = 0
-            for done, hash in enumerate(wanted):
+            for done, (hash, link) in enumerate(wanted):
                 while sent < len(wanted) and sent - done < WINDOW:
-                    conn.send_get(wanted[sent])
+                    conn.send_get(wanted[sent][0])
                     sent += 1
-                nodes[hash] = _receive(conn, store, hash, child)
+                nodes[hash] = _receive(conn, store, hash, link)
             transferred += len(wanted)
         return transferred, nodes
     finally:
@@ -284,16 +260,18 @@ def _local(store: ObjectStore, hash: str) -> DagNode | None:
         return None
 
 
-def _receive(conn: _PeerConnection, store: ObjectStore, hash: str, child: bool) -> DagNode:
+def _receive(conn: _PeerConnection, store: ObjectStore, hash: str, link: Link | None) -> DagNode:
+    """The node named hash, verified and stored; link is the root's link to it, None for the root."""
     raw = conn.request_node(hash)
     try:
         node = decode_node(raw)
+        if link is not None:
+            check_child(link, node)  # cat_file would refuse it, so never store it
     except ValueError as exc:
         # hash already verified, so these bytes genuinely are the named
         # object; it just is not a DAG node
         raise ProtocolError(f"object {hash} is not a canonical node: {exc}") from exc
-    if child and not node.is_leaf:
-        # the DAG has two levels; its children would never be fetched
-        raise ProtocolError(f"child {hash} is an interior node")
+    except CorruptObject as exc:
+        raise ProtocolError(f"child {exc}") from exc
     store.put_raw(hash, raw)
     return node

@@ -266,9 +266,6 @@ class ChainState:
     def account(self, address: str) -> Account:
         return self.accounts.get(address, Account(address))
 
-    def total_balance(self) -> int:
-        return sum(acct.balance for acct in self.accounts.values())
-
     def accounts_digest(self) -> bytes:
         """Canonical encoding of the account map, for replay comparisons."""
         obj = {
@@ -497,7 +494,7 @@ class Chain:
     applied block.
     """
 
-    def __init__(self, blocks: list[Block], state: ChainState, path: Path | None = None):
+    def __init__(self, blocks: list[Block], state: ChainState, path: Path | None):
         self._blocks = blocks
         self._state = state
         self._path = Path(path) if path is not None else None

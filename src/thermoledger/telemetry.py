@@ -7,8 +7,8 @@ exact decimals end to end (parsed with at most 3 fractional digits), never
 as binary floats, so the encode/decode round trip is lossless.
 
 Transfers cannot be negative; sub-zero climates opt into an affine offset:
-value = (t + offset_c) * SCALE, subtracted again on decode. The CLI parses
-offset_c as a non-negative temperature, so every reading encodes exactly.
+value = (t + offset_c) * SCALE, subtracted again on decode. Both directions
+hold offset_c to require_offset's rule, so every reading encodes exactly.
 """
 
 from __future__ import annotations
@@ -93,9 +93,17 @@ def parse_temperature(text: str) -> Decimal:
     return value
 
 
+def require_offset(offset_c: Decimal) -> Decimal:
+    """The offset rule: a finite Decimal in [0, 1000] with at most 3 fractional digits; ValueError otherwise."""
+    finite = isinstance(offset_c, Decimal) and offset_c.is_finite()
+    if not (finite and 0 <= offset_c <= TEMPERATURE_MAX and offset_c == round(offset_c, MAX_FRACTION_DIGITS)):
+        raise ValueError(f"offset must be a Decimal in [0, {TEMPERATURE_MAX}] with <= {MAX_FRACTION_DIGITS} fractional digits: {offset_c!r}")
+    return offset_c
+
+
 def encode_reading(temperature_c: Decimal, offset_c: Decimal = Decimal(0)) -> int:
     """Scale a temperature to an exact integer transfer amount."""
-    shifted = temperature_c + offset_c
+    shifted = temperature_c + require_offset(offset_c)
     if shifted < 0:
         raise NegativeValue(f"{temperature_c} + offset {offset_c} is negative")
     with localcontext() as ctx:
@@ -108,7 +116,7 @@ def decode_value(value: int, offset_c: Decimal = Decimal(0)) -> Decimal:
     """Exact inverse of encode_reading."""
     with localcontext() as ctx:
         ctx.prec = 80
-        return Decimal(value) / SCALE - offset_c
+        return Decimal(value) / SCALE - require_offset(offset_c)
 
 
 def format_temperature(value: Decimal) -> str:

@@ -1,10 +1,14 @@
+import threading
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 import pytest
 
 from thermoledger import ledger
 from thermoledger.canonical import canonical_json
-from thermoledger.dagstore import MAX_LINKS
+from thermoledger.dagstore import MAX_LINKS, ObjectStore
+from thermoledger.exchange import PeerServer
 from thermoledger.keys import SigningKey
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -61,3 +65,34 @@ def over_cap_root() -> bytes:
     DagNode refuses to build."""
     links = [{"name": "", "hash": f"{i:064x}", "size": "1"} for i in range(MAX_LINKS + 1)]
     return canonical_json({"data": "", "links": links})
+
+
+@contextmanager
+def serve(store) -> Iterator[PeerServer]:
+    """Serve store on 127.0.0.1 from a background thread; the server's
+    endpoint names the ephemeral port."""
+    server = PeerServer(store, ("127.0.0.1", 0))
+    # shutdown() waits out one poll of serve_forever; the default poll is 0.5 s
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
+def stored(store: ObjectStore) -> set[str]:
+    """Every hash in the store's ``??/*`` layout; dotfiles are unfinished writes."""
+    return {path.parent.name + path.name for path in store.root.glob("??/*") if not path.name.startswith(".")}
+
+
+def audit(store: ObjectStore) -> None:
+    """Read every stored object through the verifying get; raises CorruptObject."""
+    for hash in stored(store):
+        store.get(hash)
+
+
+def supply(state: ledger.ChainState) -> int:
+    return sum(account.balance for account in state.accounts.values())

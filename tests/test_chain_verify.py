@@ -23,6 +23,8 @@ from thermoledger.ledger import (
     write_genesis_config,
 )
 
+from .conftest import supply
+
 
 @pytest.fixture
 def three_block_chain(chain, sensor, bms, sealer):
@@ -50,7 +52,7 @@ def test_block_hashes_golden(three_block_chain):
 def test_fresh_chain_verifies(three_block_chain, genesis_config):
     state = verify_chain(three_block_chain.blocks, genesis_config)
     assert state.head_height == 2
-    assert state.total_balance() == sum(balance for _, balance in genesis_config)
+    assert supply(state) == sum(balance for _, balance in genesis_config)
 
 
 def test_foreign_sealer_rejected(three_block_chain, genesis_config, sensor):

@@ -15,7 +15,7 @@ from thermoledger.dagstore import DagNode, Link, ObjectStore, cat_file
 from thermoledger.envelope import decrypt, load_identity
 from thermoledger.keys import SigningKey
 
-from .conftest import FIXTURE_CSV, FIXTURE_VALUES, PER_SENSOR_ALLOCATION
+from .conftest import FIXTURE_CSV, FIXTURE_VALUES, PER_SENSOR_ALLOCATION, serve
 
 runner = CliRunner()
 
@@ -359,6 +359,13 @@ def _ingest_args(ws, offset_c, *extra):
     ]
 
 
+def _fetch_args(ws, peer, out):
+    return [
+        "--data-dir", ws["data"], "file", "fetch", "--root", "00" * 32, "--from", peer,
+        "--identity", ws["data"] / "bms.key", "--out", out,
+    ]
+
+
 # operator input -> its command line for a workspace
 HOSTILE_INPUTS = {
     "offset NaN": lambda ws: _ingest_args(ws, "NaN"),
@@ -368,6 +375,14 @@ HOSTILE_INPUTS = {
     "rotate-every 0": lambda ws: _ingest_args(ws, "0", "--rotate-every", "0"),
     "repeated sender key": lambda ws: _ingest_args(ws, "0", "--sender-key", ws["data"] / "sensor.key"),
     "port 99999": lambda ws: ["--data-dir", ws["data"], "serve", "--host", "127.0.0.1", "--port", "99999"],
+    "keygen out directory": lambda ws: ["keygen", "--out", ws["data"]],
+    "fetch out directory": lambda ws: _fetch_args(ws, "127.0.0.1:1", ws["data"]),
+    "fetch port superscript": lambda ws: _fetch_args(ws, "127.0.0.1:\u00b2", ws["data"] / "out.bin"),
+    "fetch port 65536": lambda ws: _fetch_args(ws, "127.0.0.1:65536", ws["data"] / "out.bin"),
+    "data-dir file publish": lambda ws: [
+        "--data-dir", ws["data"] / "genesis.json", "file", "publish", "--in", FIXTURE_CSV, "--recipient", ws["data"] / "bms.key.pub",
+    ],
+    "data-dir file serve": lambda ws: ["--data-dir", ws["data"] / "genesis.json", "serve", "--host", "127.0.0.1", "--port", "0"],
 }
 
 
@@ -399,7 +414,7 @@ class TestFileCommands:
         ).output.strip()
         assert len(root) == 64
 
-        with exchange.serve(ObjectStore(publisher / "objects")) as server:
+        with serve(ObjectStore(publisher / "objects")) as server:
             host, port = server.endpoint
             out_file = tmp_path / "fetched.csv"
             result = run(
@@ -419,7 +434,7 @@ class TestFileCommands:
             "--data-dir", publisher, "file", "publish",
             "--in", payload, "--recipient", tmp_path / "recipient.key.pub",
         ).output.strip()
-        with exchange.serve(ObjectStore(publisher / "objects")) as server:
+        with serve(ObjectStore(publisher / "objects")) as server:
             host, port = server.endpoint
             out_file = tmp_path / "out.bin"
             result = run(
@@ -441,7 +456,7 @@ class TestFileCommands:
             "--data-dir", publisher, "file", "publish",
             "--in", payload, "--recipient", tmp_path / "recipient.key.pub",
         ).output.strip()
-        with exchange.serve(ObjectStore(publisher / "objects")) as server:
+        with serve(ObjectStore(publisher / "objects")) as server:
             host, port = server.endpoint
             result = runner.invoke(main, [
                 "--data-dir", str(tmp_path / "fetcher"), "file", "fetch",
@@ -467,7 +482,7 @@ class TestFileCommands:
         store = ObjectStore(tmp_path / "publisher" / "objects")
         leaves = [store.put(DagNode(data=bytes(size)))[0] for size in (1000, 2000)]
         root, _ = store.put(DagNode(links=tuple(Link(name="", hash=leaf, size=1) for leaf in leaves)))
-        with exchange.serve(store) as server:
+        with serve(store) as server:
             host, port = server.endpoint
             result = runner.invoke(main, [
                 "--data-dir", str(tmp_path / "fetcher"), "file", "fetch",
@@ -475,7 +490,7 @@ class TestFileCommands:
                 "--identity", str(tmp_path / "r.key"), "--out", str(tmp_path / "out.bin"),
             ])
         assert result.exit_code == 1
-        assert result.stderr.startswith(f"CorruptObject: {leaves[0]}: ")
+        assert result.stderr.startswith(f"ProtocolError: child {leaves[0]}: leaf holds 1000 bytes, its link says 1")
         assert not (tmp_path / "out.bin").exists()
 
 

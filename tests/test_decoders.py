@@ -17,7 +17,7 @@ import pytest
 from thermoledger import cli, dagstore, envelope, exchange, keys, ledger
 from thermoledger.canonical import bytes_to_hex
 
-from .conftest import seeded_key
+from .conftest import seeded_key, serve
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "thermoledger"
 IDENTITY = envelope.Identity.from_private_bytes(bytes([9]) * 32)
@@ -172,14 +172,13 @@ INVALID_NODES = {
 
 
 def _fetch(store, hash, tmp_path):
-    with exchange.serve(store) as server:
+    with serve(store) as server:
         exchange.fetch_dag(server.endpoint, hash, dagstore.ObjectStore(tmp_path / "fetched"))
 
 
 # name -> (read(store, hash, tmp_path), expected error)
 NODE_READERS = {
     "get": (lambda store, hash, _: store.get(hash), dagstore.CorruptObject),
-    "audit": (lambda store, hash, _: store.audit(), dagstore.CorruptObject),
     "fetch_dag": (_fetch, exchange.ProtocolError),
 }
 

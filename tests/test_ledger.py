@@ -22,7 +22,7 @@ from thermoledger.ledger import (
     verify_tx,
 )
 
-from .conftest import seeded_key, sensor_pool
+from .conftest import seeded_key, sensor_pool, supply
 
 # Independently computed with hashlib over the raw concatenations.
 MERKLE_TWO_GOLDEN = "5189c77d29fe5d546a045ec46986852785fea5c13ac7da9c115ff5fb6edf817c"
@@ -165,7 +165,7 @@ class TestVerifyAndApply:
         assert new.account(key.address).balance == 100 - 30 - 5
         assert new.account(bms.address).balance == 30
         assert new.account(sealer.address).balance == 5
-        assert new.total_balance() == state.total_balance()
+        assert supply(new) == supply(state)
 
 
 class TestSealBlock:
@@ -297,7 +297,7 @@ class TestConservation:
                 )
                 nonces[sender.address] += 1
             chain.seal(txs, sealer, timestamp=0)
-            assert chain.state.total_balance() == total
+            assert supply(chain.state) == total
         assert verify_chain(chain.blocks, genesis).accounts_digest() == chain.state.accounts_digest()
 
 

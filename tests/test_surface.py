@@ -6,6 +6,7 @@ must cover, and every root name is a second import path, so adding one has
 to change these lists in the same diff, where review sees it.
 """
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -19,7 +20,9 @@ from thermoledger.cli import main
 
 from .conftest import FIXTURE_CSV
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+SRC = ROOT / "src" / "thermoledger"
 
 # what README's Python API imports; everything else is imported from its module
 PACKAGE_EXPORTS = ["Chain", "RotationPolicy", "SigningKey", "encode_reading", "ingest_csv", "pump"]
@@ -31,9 +34,13 @@ def test_package_root_exports_exactly_the_listed_names():
         getattr(thermoledger, name)
 
 
-def test_readme_python_api_runs(tmp_path, monkeypatch):
+def _readme_python_api() -> str:
     section = README.read_text(encoding="utf-8").split("## Python API", 1)[1]
-    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_python_api_runs(tmp_path, monkeypatch):
+    block = _readme_python_api()
     (tmp_path / "fixtures").mkdir()
     shutil.copy(FIXTURE_CSV, tmp_path / "fixtures")
     monkeypatch.chdir(tmp_path)
@@ -93,7 +100,6 @@ DEFAULTED_PARAMETERS = [
     ("ledger", "Account", "balance"),
     ("ledger", "Account", "nonce"),
     ("ledger", "Block", "claimed_hash"),
-    ("ledger", "Chain", "path"),
     ("ledger", "Chain.create", "path"),
     ("ledger", "Chain.seal", "timestamp"),
     ("ledger", "Transaction", "gas_limit"),
@@ -140,3 +146,56 @@ def _public_defaulted() -> list[tuple[str, str, str]]:
 
 def test_defaulted_parameters_are_exactly_the_listed_ones():
     assert sorted(_public_defaulted()) == DEFAULTED_PARAMETERS
+
+
+def _is_click_command(node: ast.FunctionDef) -> bool:
+    return any(
+        isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute) and d.func.attr in ("command", "group")
+        for d in node.decorator_list
+    )
+
+
+def _public_definitions(tree: ast.Module) -> list[tuple[str, str]]:
+    """(qualified name, name) of each public module-level function and class
+    and each public method a class defines; click commands are exempt."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            if isinstance(node, ast.FunctionDef) and _is_click_command(node):
+                continue
+            found.append((node.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                found += [
+                    (f"{node.name}.{member.name}", member.name)
+                    for member in node.body
+                    if isinstance(member, ast.FunctionDef) and not member.name.startswith("_")
+                ]
+    return found
+
+
+def _references(tree: ast.AST) -> set[str]:
+    """Every name the code uses; a definition's own name is not a use."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_public_name_in_src_has_a_caller_outside_tests():
+    """Code only tests call does not belong in src/: each public function,
+    class and method is used elsewhere in src/, in perfbench/ or in README's
+    Python API."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"), str(path)) for path in sorted(SRC.glob("*.py"))}
+    used = set().union(*map(_references, trees.values()))
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        if not path.name.startswith("test_"):  # the benchmark's own tests are tests too
+            used |= _references(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+    used |= _references(ast.parse(_readme_python_api()))
+    unused = [
+        f"{path.stem}.{qualified}"
+        for path, tree in trees.items()
+        for qualified, name in _public_definitions(tree)
+        if name not in used
+    ]
+    assert unused == []

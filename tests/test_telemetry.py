@@ -45,6 +45,13 @@ class TestCodec:
         assert value == 995_000_000_000_000_000_000
         assert decode_value(value, offset_c) == Decimal("-5.0")
 
+    @pytest.mark.parametrize("offset_c", ["NaN", "sNaN", "Infinity", "-Infinity", "-0.001", "1000.001", "1e80", "0.0000000000000000001"])
+    def test_offset_outside_the_rule_refused(self, offset_c):
+        with pytest.raises(ValueError, match="offset"):
+            encode_reading(Decimal("22.9"), Decimal(offset_c))
+        with pytest.raises(ValueError, match="offset"):
+            decode_value(22_900_000_000_000_000_000, Decimal(offset_c))
+
     def test_decode_known_value(self):
         assert decode_value(22_900_000_000_000_000_000) == Decimal("22.9")
 
