@@ -88,13 +88,20 @@ def _parse_offset(ctx, param, value: str) -> Decimal:
         raise click.BadParameter(str(exc))
 
 
+def _parse_data_dir(ctx, param, value: Path) -> Path:
+    if not next(path for path in (value, *value.parents) if path.exists()).is_dir():
+        raise click.BadParameter(f"{value} is or lies below a file, not a directory")
+    return value
+
+
 @click.group(cls=_Main)
 @click.option(
     "--data-dir",
     envvar="THERMOLEDGER_DATA_DIR",
     default="./thermoledger-data",
     show_default=True,
-    type=click.Path(file_okay=False, path_type=Path),
+    type=click.Path(path_type=Path),
+    callback=_parse_data_dir,
     help="Directory holding the chain, keys, and object store.",
 )
 @click.option("--sealer-key", type=click.Path(path_type=Path), default=None, help="Sealer key file [default: DATA_DIR/sealer.key].")
@@ -158,7 +165,7 @@ def ingest(config: Config, csv_file: Path, receiver: str, rotate_every: int | No
     readings = telemetry.ingest_csv(csv_file)
     pool = tuple(load_signing_key(path) for path in sender_keys)
     try:
-        rotation = telemetry.RotationPolicy(rotate_every, pool)
+        rotation = telemetry.RotationPolicy("never" if rotate_every is None else rotate_every, pool)
     except ValueError as exc:
         raise click.UsageError(str(exc))
     txs = telemetry.pump(

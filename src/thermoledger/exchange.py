@@ -215,7 +215,8 @@ def fetch_dag(endpoint: tuple[str, int], root: str, store: ObjectStore) -> tuple
     hash, which ``cat_file`` joins without reading the store again.
 
     A node already stored locally and intact is read through the verifying
-    ``store.get`` and never requested; a damaged one is fetched again. The
+    ``store.get`` and never requested (a local child that does not fit its
+    link raises CorruptObject); a damaged one is fetched again. The
     root comes first, then its missing children, each requested once, with
     up to WINDOW gets outstanding; the connection is opened only if some
     node is missing. Every received node is verified (its bytes must hash
@@ -237,6 +238,8 @@ def fetch_dag(endpoint: tuple[str, int], root: str, store: ObjectStore) -> tuple
                     nodes[hash] = _local(store, hash)
                     if nodes[hash] is None:
                         wanted.append((hash, link))
+                    elif link is not None:
+                        check_child(link, nodes[hash])
             if wanted and conn is None:
                 conn = _PeerConnection(endpoint)
             sent = 0

@@ -126,9 +126,9 @@ class Transaction:
     recipient: str
     value: int
     nonce: int
-    gas_limit: int = DEFAULT_GAS_LIMIT
-    gas_price: int = DEFAULT_GAS_PRICE
-    signature: bytes = b""
+    gas_limit: int
+    gas_price: int
+    signature: bytes
 
     def __post_init__(self):
         require_address(self.sender)
@@ -306,23 +306,9 @@ def _check_signature(signature: bytes, payload: bytes, error: type[Error]) -> by
     return public_key
 
 
-def build_and_sign_tx(
-    sender_key: SigningKey,
-    to: str,
-    value: int,
-    nonce: int,
-    gas_limit: int = DEFAULT_GAS_LIMIT,
-    gas_price: int = DEFAULT_GAS_PRICE,
-) -> Transaction:
-    """Build a transaction and sign its canonical encoding."""
-    unsigned = Transaction(
-        sender=sender_key.address,
-        recipient=to,
-        value=value,
-        nonce=nonce,
-        gas_limit=gas_limit,
-        gas_price=gas_price,
-    )
+def build_and_sign_tx(sender_key: SigningKey, to: str, value: int, nonce: int) -> Transaction:
+    """Build a fee-free transaction and sign its canonical encoding."""
+    unsigned = Transaction(sender_key.address, to, value, nonce, DEFAULT_GAS_LIMIT, DEFAULT_GAS_PRICE, b"")
     return replace(unsigned, signature=_attach_signature(sender_key, unsigned.signing_payload()))
 
 
@@ -394,7 +380,7 @@ def seal_block(
     pending: Sequence[Transaction],
     state: ChainState,
     sealer_key: SigningKey,
-    timestamp: int | None = None,
+    timestamp: int,
 ) -> tuple[Block, ChainState]:
     """Seal pending transactions into the next block, all-or-nothing.
 
@@ -410,7 +396,7 @@ def seal_block(
         height=state.head_height + 1,
         prev_hash=state.head_hash,
         merkle_root=merkle_root([tx.tx_hash for tx in pending]),
-        timestamp=int(time.time()) if timestamp is None else timestamp,
+        timestamp=timestamp,
         transactions=tuple(pending),
         sealer_signature=b"",
     )
@@ -487,36 +473,29 @@ def load_chain(path: str | Path) -> list[Block]:
 
 
 class Chain:
-    """Single-writer handle over an in-memory chain, optionally on disk.
+    """Single-writer handle over a chain file and its replayed state.
 
     Sealing is serialized by a lock and appends to the chain file before
     swapping the in-memory state, so readers never observe a partially
     applied block.
     """
 
-    def __init__(self, blocks: list[Block], state: ChainState, path: Path | None):
+    def __init__(self, blocks: list[Block], state: ChainState, path: Path):
         self._blocks = blocks
         self._state = state
-        self._path = Path(path) if path is not None else None
+        self._path = path
         self._write_lock = threading.Lock()
 
     @classmethod
-    def create(
-        cls,
-        genesis_config: Sequence[tuple[str, int]],
-        sealer_key: SigningKey,
-        path: str | Path | None = None,
-    ) -> "Chain":
-        """Seal genesis; with a path, create the chain file (kept if it holds just this genesis, else Error)."""
+    def create(cls, genesis_config: Sequence[tuple[str, int]], sealer_key: SigningKey, path: str | Path) -> "Chain":
+        """Seal genesis and create the chain file (kept if it holds just this genesis, else Error)."""
         pre_genesis = _pre_genesis(genesis_config, sealer_key.public_bytes)
         genesis, state = seal_block([], pre_genesis, sealer_key, GENESIS_TIMESTAMP)
-        chain = cls([genesis], state, path)
-        if chain._path is not None:
-            try:
-                create_file(chain._path, canonical_json(genesis.to_obj()) + b"\n", 0o666)
-            except FileExistsError:
-                raise Error(f"chain already exists at {chain._path}") from None
-        return chain
+        try:
+            create_file(path, canonical_json(genesis.to_obj()) + b"\n", 0o666)
+        except FileExistsError:
+            raise Error(f"chain already exists at {path}") from None
+        return cls([genesis], state, Path(path))
 
     @classmethod
     def open(cls, path: str | Path, genesis_config: Sequence[tuple[str, int]]) -> "Chain":
@@ -540,11 +519,11 @@ class Chain:
         """The state once pending is sealed on the head; SealRejected if it cannot be."""
         return _replay(pending, self._state)
 
-    def seal(self, pending: Sequence[Transaction], sealer_key: SigningKey, timestamp: int | None = None) -> Block:
+    def seal(self, pending: Sequence[Transaction], sealer_key: SigningKey) -> Block:
+        """Seal pending into the next block, stamped with the wall clock, and append it to the chain file."""
         with self._write_lock:
-            block, new_state = seal_block(pending, self._state, sealer_key, timestamp)
-            if self._path is not None:
-                append_block(self._path, block)
+            block, new_state = seal_block(pending, self._state, sealer_key, int(time.time()))
+            append_block(self._path, block)
             self._blocks.append(block)
             self._state = new_state
             return block

@@ -66,18 +66,16 @@ class SensorReading:
 class RotationPolicy:
     """Advance to the next pool sender after every rotate_every transactions.
 
-    rotate_every None (or "never") keeps a single sender for the whole run.
+    rotate_every "never" keeps a single sender for the whole run.
     """
 
-    rotate_every: int | str | None
+    rotate_every: int | str
     pool: tuple[SigningKey, ...]
 
     def __post_init__(self):
-        if self.rotate_every == "never":
-            object.__setattr__(self, "rotate_every", None)
-        if self.rotate_every is not None:
-            if not isinstance(self.rotate_every, int) or self.rotate_every < 1:
-                raise ValueError("rotate_every must be a positive integer or never")
+        k = self.rotate_every
+        if k != "never" and (not isinstance(k, int) or k < 1):
+            raise ValueError("rotate_every must be a positive integer or never")
         addresses = [key.address for key in self.pool]
         if len(set(addresses)) != len(addresses):
             raise ValueError("rotation pool contains duplicate addresses")
@@ -112,7 +110,7 @@ def encode_reading(temperature_c: Decimal, offset_c: Decimal = Decimal(0)) -> in
     return int(value)
 
 
-def decode_value(value: int, offset_c: Decimal = Decimal(0)) -> Decimal:
+def decode_value(value: int, offset_c: Decimal) -> Decimal:
     """Exact inverse of encode_reading."""
     with localcontext() as ctx:
         ctx.prec = 80
@@ -176,11 +174,12 @@ def pump(
     The sender advances to the next pool key after every rotate_every
     transactions; nonces continue from the current chain state and are
     tracked per sender across the batch. Transactions carry
-    build_and_sign_tx's default (zero) fee.
+    build_and_sign_tx's zero fee.
     """
     require_address(receiver)
     k = rotation.rotate_every
-    senders_needed = 1 if k is None else -(-len(readings) // k)
+    never = k == "never"
+    senders_needed = 1 if never else -(-len(readings) // k)
     if readings and senders_needed > len(rotation.pool):
         raise PoolExhausted(
             f"{len(readings)} readings at {k} per address need {senders_needed} keys, pool has {len(rotation.pool)}"
@@ -188,7 +187,7 @@ def pump(
     next_nonce: dict[str, int] = {}
     txs = []
     for i, reading in enumerate(readings):
-        key = rotation.pool[0] if k is None else rotation.pool[i // k]
+        key = rotation.pool[0] if never else rotation.pool[i // k]
         address = key.address
         if address not in next_nonce:
             next_nonce[address] = state.account(address).nonce

@@ -1,7 +1,9 @@
 import threading
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 from typing import Iterator
+from unittest import mock
 
 import pytest
 
@@ -51,9 +53,22 @@ def genesis_config(sealer, sensor):
 
 
 @pytest.fixture
-def chain(genesis_config, sealer):
-    """In-memory chain with one funded sensor and a funded sealer."""
-    return ledger.Chain.create(genesis_config, sealer)
+def chain(genesis_config, sealer, tmp_path):
+    """Chain with one funded sensor and a funded sealer, in its own file
+    (not chain.jsonl, which tests write copies to)."""
+    return ledger.Chain.create(genesis_config, sealer, tmp_path / "fixture-chain.jsonl")
+
+
+def seal_at(chain: ledger.Chain, txs, key: SigningKey, timestamp: int) -> ledger.Block:
+    """chain.seal with the wall clock pinned to timestamp."""
+    with mock.patch.object(ledger.time, "time", return_value=timestamp):
+        return chain.seal(txs, key)
+
+
+def signed_tx(key: SigningKey, to: str, value: int, nonce: int, gas_limit: int, gas_price: int) -> ledger.Transaction:
+    """A fee-bearing transaction, signed the way build_and_sign_tx signs."""
+    unsigned = ledger.Transaction(key.address, to, value, nonce, gas_limit, gas_price, b"")
+    return replace(unsigned, signature=key.public_bytes + key.sign(unsigned.signing_payload()))
 
 
 def sensor_pool(count: int, first_seed: int = 10) -> tuple[SigningKey, ...]:

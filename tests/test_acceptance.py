@@ -19,7 +19,6 @@ import pytest
 from click.testing import CliRunner
 
 from thermoledger import exchange, ledger, telemetry
-from thermoledger.canonical import append_records
 from thermoledger.cli import main as cli_main
 from thermoledger.dagstore import NotFound, ObjectStore, add_file, cat_file, stat
 from thermoledger.envelope import Identity, WrongRecipient, decrypt, encrypt_for
@@ -28,7 +27,9 @@ from thermoledger.exchange import HashMismatch, fetch_dag
 from thermoledger.keys import SigningKey
 from thermoledger.ledger import build_and_sign_tx, load_chain, verify_chain
 
-from .conftest import FIXTURE_CSV, FIXTURE_VALUES, PER_SENSOR_ALLOCATION, audit, seeded_key, sensor_pool, serve, stored, supply
+from .conftest import (
+    FIXTURE_CSV, FIXTURE_VALUES, PER_SENSOR_ALLOCATION, audit, seal_at, seeded_key, sensor_pool, serve, signed_tx, stored, supply,
+)
 
 
 @contextmanager
@@ -84,7 +85,7 @@ def test_criterion_2_codec_properties():
         rng = random.Random(2)
         temps = [Decimal(rng.randint(0, 500)) / 10 for _ in range(10_000)]
         encoded = [telemetry.encode_reading(t) for t in temps]
-        assert [telemetry.decode_value(v) for v in encoded] == temps
+        assert [telemetry.decode_value(v, Decimal(0)) for v in encoded] == temps
         ordered = sorted(set(temps))
         codes = [telemetry.encode_reading(t) for t in ordered]
         assert codes == sorted(codes) and len(set(codes)) == len(codes)
@@ -94,14 +95,10 @@ def test_criterion_3_tamper_detection(tmp_path):
     """>= 200 random single-byte mutations each break chain verification."""
     sealer, sensor, bms = seeded_key(1), seeded_key(2), seeded_key(3)
     genesis_config = tuple(sorted([(sensor.address, PER_SENSOR_ALLOCATION), (sealer.address, PER_SENSOR_ALLOCATION)]))
-    chain = ledger.Chain.create(genesis_config, sealer)
-    chain.seal([build_and_sign_tx(sensor, bms.address, 10 + i, nonce=i) for i in range(8)], sealer, timestamp=100)
-    chain.seal(
-        [build_and_sign_tx(sensor, bms.address, 90 + i, nonce=8 + i, gas_limit=7, gas_price=1) for i in range(8)],
-        sealer, timestamp=200,
-    )
     path = tmp_path / "chain.jsonl"
-    append_records(path, [b.to_obj() for b in chain.blocks])
+    chain = ledger.Chain.create(genesis_config, sealer, path)
+    seal_at(chain, [build_and_sign_tx(sensor, bms.address, 10 + i, nonce=i) for i in range(8)], sealer, 100)
+    seal_at(chain, [signed_tx(sensor, bms.address, 90 + i, 8 + i, gas_limit=7, gas_price=1) for i in range(8)], sealer, 200)
     original = path.read_bytes()
 
     with criterion(3, "tamper detection", budget_s=10.0):
@@ -121,14 +118,14 @@ def test_criterion_3_tamper_detection(tmp_path):
         assert detected == mutations, f"{mutations - detected} mutations slipped through"
 
 
-def test_criterion_4_conservation():
+def test_criterion_4_conservation(tmp_path):
     """10^3 random fee-bearing transactions never change the total supply."""
     with criterion(4, "conservation", budget_s=5.0):
         rng = random.Random(4)
         pool = sensor_pool(6, first_seed=50)
         sealer = seeded_key(49)
         genesis_config = tuple(sorted((key.address, 10**21) for key in pool))
-        chain = ledger.Chain.create(genesis_config, sealer)
+        chain = ledger.Chain.create(genesis_config, sealer, tmp_path / "chain.jsonl")
         total = sum(balance for _, balance in genesis_config)
         sent = 0
         while sent < 1000:
@@ -146,10 +143,7 @@ def test_criterion_4_conservation():
                 if available < 0:
                     continue
                 value = rng.randrange(0, available + 1)
-                batch.append(build_and_sign_tx(
-                    sender, recipient.address, value, nonces[sender.address],
-                    gas_limit=gas_limit, gas_price=gas_price,
-                ))
+                batch.append(signed_tx(sender, recipient.address, value, nonces[sender.address], gas_limit, gas_price))
                 nonces[sender.address] += 1
                 spent[sender.address] += value + fee
             chain.seal(batch, sealer)
@@ -254,7 +248,10 @@ sealer = SigningKey.from_private_bytes(bytes([1]) * 32)
 sensor = SigningKey.from_private_bytes(bytes([2]) * 32)
 receiver = SigningKey.from_private_bytes(bytes([3]) * 32).address
 
-chain = Chain.create(((sensor.address, 10**24),), sealer)
+with tempfile.TemporaryDirectory() as tmp:
+    chain = Chain.create(((sensor.address, 10**24),), sealer, Path(tmp) / "chain.jsonl")
+    store = ObjectStore(Path(tmp) / "objects")
+    roots = [add_file(store, b"fixed content"), add_file(store, bytes(700000))]
 genesis, state = chain.head, chain.state
 txs = [
     build_and_sign_tx(sensor, receiver, telemetry.encode_reading(Decimal("22.9")) + i, nonce=i)
@@ -267,10 +264,8 @@ print("block", block.block_hash.hex())
 for tx in txs:
     print("tx", tx.tx_hash.hex())
 print("merkle", merkle_root([tx.tx_hash for tx in txs]).hex())
-with tempfile.TemporaryDirectory() as tmp:
-    store = ObjectStore(Path(tmp))
-    print("root_small", add_file(store, b"fixed content"))
-    print("root_large", add_file(store, bytes(700000)))
+print("root_small", roots[0])
+print("root_large", roots[1])
 """
 
 

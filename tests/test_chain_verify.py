@@ -23,19 +23,16 @@ from thermoledger.ledger import (
     write_genesis_config,
 )
 
-from .conftest import supply
+from .conftest import seal_at, signed_tx, supply
 
 
 @pytest.fixture
 def three_block_chain(chain, sensor, bms, sealer):
     """Genesis plus two sealed blocks of transfers."""
     first = [build_and_sign_tx(sensor, bms.address, 10 + i, nonce=i) for i in range(3)]
-    chain.seal(first, sealer, timestamp=100)
-    second = [
-        build_and_sign_tx(sensor, bms.address, 50 + i, nonce=3 + i, gas_limit=10, gas_price=1)
-        for i in range(2)
-    ]
-    chain.seal(second, sealer, timestamp=200)
+    seal_at(chain, first, sealer, 100)
+    second = [signed_tx(sensor, bms.address, 50 + i, 3 + i, gas_limit=10, gas_price=1) for i in range(2)]
+    seal_at(chain, second, sealer, 200)
     return chain
 
 
@@ -90,7 +87,7 @@ def sign_calls(monkeypatch):
 def test_seal_block_refuses_foreign_key_before_signing(three_block_chain, sensor, sign_calls):
     # the writer must never produce a block its own verifier would reject
     with pytest.raises(BadSealerSignature):
-        ledger.seal_block([], three_block_chain.state, sensor, timestamp=300)
+        ledger.seal_block([], three_block_chain.state, sensor, 300)
     assert sign_calls == []
 
 
@@ -197,7 +194,7 @@ class TestPersistence:
     def test_chain_open_appends_and_reopens(self, genesis_config, sealer, sensor, bms, tmp_path):
         path = tmp_path / "chain.jsonl"
         chain = ledger.Chain.create(genesis_config, sealer, path)
-        chain.seal([build_and_sign_tx(sensor, bms.address, 5, nonce=0)], sealer, timestamp=7)
+        seal_at(chain, [build_and_sign_tx(sensor, bms.address, 5, nonce=0)], sealer, 7)
         reopened = ledger.Chain.open(path, genesis_config)
         assert reopened.head.block_hash == chain.head.block_hash
         assert reopened.state.accounts_digest() == chain.state.accounts_digest()
@@ -205,16 +202,16 @@ class TestPersistence:
     def test_create_refuses_existing_chain_file(self, genesis_config, sealer, sensor, bms, tmp_path):
         path = tmp_path / "chain.jsonl"
         chain = ledger.Chain.create(genesis_config, sealer, path)
-        chain.seal([build_and_sign_tx(sensor, bms.address, 5, nonce=0)], sealer, timestamp=7)
+        seal_at(chain, [build_and_sign_tx(sensor, bms.address, 5, nonce=0)], sealer, 7)
         before = path.read_bytes()
         with pytest.raises(Error, match="already exists"):
             ledger.Chain.create(genesis_config, sealer, path)
         assert path.read_bytes() == before
         assert len(load_chain(path)) == 2
 
-    def test_create_keeps_a_file_holding_its_genesis_line(self, genesis_config, sealer, tmp_path):
+    def test_create_keeps_a_file_holding_its_genesis_line(self, chain, genesis_config, sealer, tmp_path):
         path = tmp_path / "chain.jsonl"
-        genesis = ledger.Chain.create(genesis_config, sealer).head
+        genesis = chain.head
         path.write_bytes(canonical_json(genesis.to_obj()) + b"\n")
         os.utime(path, ns=(0, 0))  # any write would move the mtime
         assert ledger.Chain.create(genesis_config, sealer, path).head == genesis

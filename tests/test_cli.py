@@ -383,16 +383,30 @@ HOSTILE_INPUTS = {
         "--data-dir", ws["data"] / "genesis.json", "file", "publish", "--in", FIXTURE_CSV, "--recipient", ws["data"] / "bms.key.pub",
     ],
     "data-dir file serve": lambda ws: ["--data-dir", ws["data"] / "genesis.json", "serve", "--host", "127.0.0.1", "--port", "0"],
+    "data-dir below a file init": lambda ws: [
+        "--data-dir", ws["data"] / "chain.jsonl" / "x", "--sealer-key", ws["data"] / "sealer.key", "init", "--genesis", ws["data"] / "genesis.json",
+    ],
+    "data-dir below a file publish": lambda ws: [
+        "--data-dir", ws["data"] / "chain.jsonl" / "x", "file", "publish", "--in", FIXTURE_CSV, "--recipient", ws["data"] / "bms.key.pub",
+    ],
+    "data-dir below a file fetch": lambda ws: [
+        "--data-dir", ws["data"] / "chain.jsonl" / "x", "file", "fetch", "--root", "00" * 32, "--from", "127.0.0.1:1",
+        "--identity", ws["data"] / "bms.key", "--out", ws["data"] / "out.bin",
+    ],
+    "data-dir below a file serve": lambda ws: [
+        "--data-dir", ws["data"] / "chain.jsonl" / "x", "serve", "--host", "127.0.0.1", "--port", "0",
+    ],
 }
 
 
 @pytest.mark.parametrize("name", HOSTILE_INPUTS)
 def test_hostile_operator_input_is_one_usage_error(workspace, name):
+    genesis_only = (workspace["data"] / "chain.jsonl").read_bytes()
     result = runner.invoke(main, [str(a) for a in HOSTILE_INPUTS[name](workspace)])
     assert result.exit_code == 2 and isinstance(result.exception, SystemExit), repr(result.exception)
     assert len([line for line in result.stderr.splitlines() if line.startswith("Error: ")]) == 1
     assert "Traceback" not in result.stderr
-    assert (workspace["data"] / "chain.jsonl").read_bytes().count(b"\n") == 1  # genesis only
+    assert (workspace["data"] / "chain.jsonl").read_bytes() == genesis_only
 
 
 class TestFileCommands:

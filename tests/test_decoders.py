@@ -51,6 +51,12 @@ def _dag_node(tmp_path, raw):
     store.get(hash)
 
 
+def _genesis(key) -> ledger.Block:
+    """Genesis sealed by the pure seal_block: no chain file at import time."""
+    pre_genesis = ledger.ChainState(accounts={}, head_hash=ledger.ZERO_HASH, head_height=-1, authority=key.public_bytes)
+    return ledger.seal_block([], pre_genesis, key, ledger.GENESIS_TIMESTAMP)[0]
+
+
 def _key_file(tmp_path, raw):
     path = tmp_path / "k.key"
     path.write_bytes(raw)
@@ -60,7 +66,7 @@ def _key_file(tmp_path, raw):
 # name -> (valid record, its byte field, decode(tmp_path, raw), expected error)
 DECODERS = {
     "block": (
-        ledger.Chain.create((), seeded_key(1)).head.to_obj(),
+        _genesis(seeded_key(1)).to_obj(),
         "sealer_signature", _block_line, ledger.MalformedBlock,
     ),
     "pending": (

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from thermoledger.dagstore import CHUNK_SIZE, DagNode, Link, NotFound, ObjectStore, add_file, cat_file
+from thermoledger.dagstore import CHUNK_SIZE, CorruptObject, DagNode, Link, NotFound, ObjectStore, add_file, cat_file
 from thermoledger.envelope import Identity, decrypt, encrypt_for
 from thermoledger.exchange import (
     WINDOW,
@@ -364,6 +364,14 @@ class TestFetchDag:
             with pytest.raises(ProtocolError, match=f"child {leaves[0]}: leaf holds 1000 bytes, its link says 1"):
                 fetch_dag(server.endpoint, root, local)
         assert stored(local) == {root}
+
+    def test_local_leaves_that_overstate_their_links_refused(self, remote, local):
+        leaves = [local.put(DagNode(data=bytes(size)))[0] for size in (1000, 2000)]
+        root, _ = remote.put(DagNode(links=tuple(Link(name="", hash=leaf, size=1) for leaf in leaves)))
+        with serve(remote) as server:
+            with pytest.raises(CorruptObject, match=f"{leaves[0]}: leaf holds 1000 bytes, its link says 1"):
+                fetch_dag(server.endpoint, root, local)
+        assert stored(local) == {root, *leaves}
 
     def test_root_over_link_cap_refused_before_any_child_get(self, local):
         raw = over_cap_root()

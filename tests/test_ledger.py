@@ -22,7 +22,7 @@ from thermoledger.ledger import (
     verify_tx,
 )
 
-from .conftest import seeded_key, sensor_pool, supply
+from .conftest import seeded_key, sensor_pool, signed_tx, supply
 
 # Independently computed with hashlib over the raw concatenations.
 MERKLE_TWO_GOLDEN = "5189c77d29fe5d546a045ec46986852785fea5c13ac7da9c115ff5fb6edf817c"
@@ -104,7 +104,7 @@ class TestTransaction:
             verify_tx(imposter, chain.state)
 
     def test_round_trip_encoding(self, sensor, bms):
-        tx = build_and_sign_tx(sensor, bms.address, 12345, nonce=7, gas_limit=50_000, gas_price=2)
+        tx = signed_tx(sensor, bms.address, 12345, 7, gas_limit=50_000, gas_price=2)
         assert Transaction.from_obj(tx.to_obj()) == tx
 
 
@@ -116,7 +116,7 @@ class TestVerifyAndApply:
     def test_sufficient_balance_ok(self, bms):
         key = seeded_key(21)
         state = _state({key.address: Account(key.address, balance=100)})
-        tx = build_and_sign_tx(key, bms.address, 30, nonce=0, gas_price=0)
+        tx = build_and_sign_tx(key, bms.address, 30, nonce=0)
         verify_tx(tx, state)
 
     def test_insufficient_balance(self, bms):
@@ -157,7 +157,7 @@ class TestVerifyAndApply:
         key = seeded_key(21)
         sealer = seeded_key(22)
         state = _state({key.address: Account(key.address, balance=100)})
-        tx = build_and_sign_tx(key, bms.address, 30, nonce=0, gas_limit=5, gas_price=1)
+        tx = signed_tx(key, bms.address, 30, 0, gas_limit=5, gas_price=1)
         assert tx.fee == 5
         accounts = dict(state.accounts)
         apply_tx(tx, accounts, sealer=sealer.address)
@@ -194,7 +194,7 @@ class TestSealBlock:
         txs[3] = build_and_sign_tx(sensor, bms.address, 1, nonce=99)
         before = chain.state
         with pytest.raises(SealRejected) as excinfo:
-            seal_block(txs, before, sealer)
+            seal_block(txs, before, sealer, timestamp=1000)
         assert excinfo.value.index == 3
         assert isinstance(excinfo.value.cause, NonceMismatch)
         assert before.account(sensor.address).nonce == 0
@@ -206,7 +206,7 @@ class TestStateIsNotShared:
     def test_seal_leaves_earlier_state_unchanged(self, chain, sensor, bms, sealer):
         before = chain.state
         digest = before.accounts_digest()
-        chain.seal([build_and_sign_tx(sensor, bms.address, 5, nonce=i) for i in range(3)], sealer, timestamp=1)
+        chain.seal([build_and_sign_tx(sensor, bms.address, 5, nonce=i) for i in range(3)], sealer)
         assert chain.state.account(sensor.address).nonce == 3
         assert before.accounts_digest() == digest
         assert before.account(sensor.address).nonce == 0
@@ -217,7 +217,7 @@ class TestStateIsNotShared:
         digest = before.accounts_digest()
         txs = [build_and_sign_tx(sensor, bms.address, 5, nonce=0), build_and_sign_tx(sensor, bms.address, 5, nonce=7)]
         with pytest.raises(SealRejected) as excinfo:
-            chain.seal(txs, sealer, timestamp=1)
+            chain.seal(txs, sealer)
         assert excinfo.value.index == 1
         assert chain.state is before
         assert before.accounts_digest() == digest
@@ -241,9 +241,9 @@ class TestStateIsNotShared:
 class TestQuery:
     def _filled_chain(self, chain, sensor, bms, sealer):
         first = [build_and_sign_tx(sensor, bms.address, i + 1, nonce=i) for i in range(3)]
-        chain.seal(first, sealer, timestamp=1)
+        chain.seal(first, sealer)
         second = [build_and_sign_tx(sensor, bms.address, i + 100, nonce=3 + i) for i in range(2)]
-        chain.seal(second, sealer, timestamp=2)
+        chain.seal(second, sealer)
         return chain
 
     def test_filter_by_recipient_returns_rows_in_order(self, chain, sensor, bms, sealer):
@@ -266,12 +266,12 @@ class TestQuery:
 class TestConservation:
     @settings(max_examples=25, deadline=None)
     @given(st.data())
-    def test_random_sequences_conserve_total(self, data):
+    def test_random_sequences_conserve_total(self, tmp_path_factory, data):
         pool = sensor_pool(4, first_seed=40)
         sealer = seeded_key(39)
         alloc = {key.address: 10**6 for key in pool}
         genesis = tuple(sorted(alloc.items()))
-        chain = ledger.Chain.create(genesis, sealer)
+        chain = ledger.Chain.create(genesis, sealer, tmp_path_factory.mktemp("conservation") / "chain.jsonl")
         total = sum(alloc.values())
         n_blocks = data.draw(st.integers(0, 3))
         for _ in range(n_blocks):
@@ -289,14 +289,9 @@ class TestConservation:
                 if headroom < 0:
                     continue
                 value = data.draw(st.integers(0, headroom))
-                txs.append(
-                    build_and_sign_tx(
-                        sender, recipient.address, value, nonces[sender.address],
-                        gas_limit=gas_limit, gas_price=gas_price,
-                    )
-                )
+                txs.append(signed_tx(sender, recipient.address, value, nonces[sender.address], gas_limit, gas_price))
                 nonces[sender.address] += 1
-            chain.seal(txs, sealer, timestamp=0)
+            chain.seal(txs, sealer)
             assert supply(chain.state) == total
         assert verify_chain(chain.blocks, genesis).accounts_digest() == chain.state.accounts_digest()
 
@@ -306,7 +301,7 @@ class TestNonceMonotonicity:
         for height in range(1, 4):
             base = chain.state.account(sensor.address).nonce
             txs = [build_and_sign_tx(sensor, bms.address, 1, nonce=base + i) for i in range(3)]
-            chain.seal(txs, sealer, timestamp=height)
+            chain.seal(txs, sealer)
         seen = [tx.nonce for block in chain.blocks for tx in block.transactions if tx.sender == sensor.address]
         assert seen == list(range(9))
 

@@ -3,17 +3,21 @@ options and the defaulted parameters of the public API.
 
 Every option or defaulted parameter is a setting that tests and benchmarks
 must cover, and every root name is a second import path, so adding one has
-to change these lists in the same diff, where review sees it.
+to change these lists in the same diff, where review sees it. Each default
+also names the file outside tests whose call leaves it unset, so a default
+that only tests rely on has no row to stand in.
 """
 
 import ast
 import importlib
 import inspect
 import pkgutil
+import re
 import shutil
 from pathlib import Path
 
 import click
+import pytest
 
 import thermoledger
 from thermoledger.cli import main
@@ -91,28 +95,20 @@ def test_cli_options_are_exactly_the_listed_ones():
     assert sorted(_options(main, "")) == CLI_OPTIONS
 
 
-# (module, public function, method or class whose signature has it, parameter)
+# (module, public function, method or class whose signature has it, parameter,
+#  the file outside tests with a call that leaves the parameter at its default)
 DEFAULTED_PARAMETERS = [
-    ("canonical", "parse_hex", "length"),
-    ("dagstore", "CorruptObject", "reason"),
-    ("dagstore", "DagNode", "data"),
-    ("dagstore", "DagNode", "links"),
-    ("ledger", "Account", "balance"),
-    ("ledger", "Account", "nonce"),
-    ("ledger", "Block", "claimed_hash"),
-    ("ledger", "Chain.create", "path"),
-    ("ledger", "Chain.seal", "timestamp"),
-    ("ledger", "Transaction", "gas_limit"),
-    ("ledger", "Transaction", "gas_price"),
-    ("ledger", "Transaction", "signature"),
-    ("ledger", "build_and_sign_tx", "gas_limit"),
-    ("ledger", "build_and_sign_tx", "gas_price"),
-    ("ledger", "query_transactions", "recipient"),
-    ("ledger", "query_transactions", "sender"),
-    ("ledger", "seal_block", "timestamp"),
-    ("telemetry", "decode_value", "offset_c"),
-    ("telemetry", "encode_reading", "offset_c"),
-    ("telemetry", "pump", "offset_c"),
+    ("canonical", "parse_hex", "length", "src/thermoledger/ledger.py"),
+    ("dagstore", "CorruptObject", "reason", "src/thermoledger/dagstore.py"),
+    ("dagstore", "DagNode", "data", "src/thermoledger/dagstore.py"),
+    ("dagstore", "DagNode", "links", "src/thermoledger/dagstore.py"),
+    ("ledger", "Account", "balance", "src/thermoledger/ledger.py"),
+    ("ledger", "Account", "nonce", "src/thermoledger/ledger.py"),
+    ("ledger", "Block", "claimed_hash", "src/thermoledger/ledger.py"),
+    ("ledger", "query_transactions", "recipient", "src/thermoledger/ledger.py"),  # Chain.query forwards only the filters named
+    ("ledger", "query_transactions", "sender", "src/thermoledger/ledger.py"),
+    ("telemetry", "encode_reading", "offset_c", "README.md"),
+    ("telemetry", "pump", "offset_c", "perfbench/workloads.py"),
 ]
 
 
@@ -145,7 +141,17 @@ def _public_defaulted() -> list[tuple[str, str, str]]:
 
 
 def test_defaulted_parameters_are_exactly_the_listed_ones():
-    assert sorted(_public_defaulted()) == DEFAULTED_PARAMETERS
+    assert sorted(_public_defaulted()) == [row[:3] for row in DEFAULTED_PARAMETERS]
+
+
+@pytest.mark.parametrize("module, label, parameter, caller", DEFAULTED_PARAMETERS)
+def test_every_default_has_a_caller_outside_tests(module, label, parameter, caller):
+    """A default that only tests leave unset is a setting nothing else needs."""
+    path = ROOT / caller
+    assert caller == "README.md" or caller.startswith(("src/", "perfbench/")), caller
+    assert not path.name.startswith("test_") and path.is_file(), caller
+    name = label.rsplit(".", 1)[-1]
+    assert re.search(rf"(?<!def )\b{name}\(", path.read_text(encoding="utf-8")), f"{caller} never calls {name}"
 
 
 def _is_click_command(node: ast.FunctionDef) -> bool:

@@ -33,7 +33,7 @@ class TestCodec:
 
     def test_zero(self):
         assert encode_reading(Decimal("0")) == 0
-        assert decode_value(0) == Decimal("0")
+        assert decode_value(0, Decimal(0)) == Decimal("0")
 
     def test_negative_rejected_without_offset(self):
         with pytest.raises(NegativeValue):
@@ -53,12 +53,12 @@ class TestCodec:
             decode_value(22_900_000_000_000_000_000, Decimal(offset_c))
 
     def test_decode_known_value(self):
-        assert decode_value(22_900_000_000_000_000_000) == Decimal("22.9")
+        assert decode_value(22_900_000_000_000_000_000, Decimal(0)) == Decimal("22.9")
 
     @settings(max_examples=200)
     @given(one_decimal)
     def test_round_trip_one_decimal(self, t):
-        assert decode_value(encode_reading(t)) == t
+        assert decode_value(encode_reading(t), Decimal(0)) == t
 
     @settings(max_examples=200)
     @given(three_decimal)
@@ -151,7 +151,7 @@ class TestPump:
         txs = pump(readings, rotation, bms.address, chain.state)
         assert len(txs) == 24
         assert {tx.sender for tx in txs} == {sensor.address}
-        assert [decode_value(tx.value) for tx in txs] == [Decimal(v) for v in FIXTURE_VALUES]
+        assert [decode_value(tx.value, Decimal(0)) for tx in txs] == [Decimal(v) for v in FIXTURE_VALUES]
         assert [tx.nonce for tx in txs] == list(range(24))
 
     def test_rotation_every_8_uses_3_senders(self, chain, bms):
@@ -176,14 +176,14 @@ class TestPump:
     def test_order_preserved_through_seal_and_query(self, chain, sensor, bms, sealer):
         readings = ingest_csv(FIXTURE_CSV)
         txs = pump(readings, RotationPolicy("never", (sensor,)), bms.address, chain.state)
-        chain.seal(txs, sealer, timestamp=100)
+        chain.seal(txs, sealer)
         rows = chain.query(recipient=bms.address)
-        assert [decode_value(tx.value) for _, tx in rows] == [r.temperature_c for r in readings]
+        assert [decode_value(tx.value, Decimal(0)) for _, tx in rows] == [r.temperature_c for r in readings]
 
     def test_nonces_continue_across_batches(self, chain, sensor, bms, sealer):
         rotation = RotationPolicy("never", (sensor,))
         first = pump(_readings(["20.0", "20.1"]), rotation, bms.address, chain.state)
-        chain.seal(first, sealer, timestamp=1)
+        chain.seal(first, sealer)
         second = pump(_readings(["20.2"]), rotation, bms.address, chain.state)
         assert [tx.nonce for tx in second] == [2]
 
@@ -212,8 +212,11 @@ class TestPump:
 
 
 class TestRotationPolicy:
-    def test_never_normalized(self, sensor):
-        assert RotationPolicy("never", (sensor,)).rotate_every is None
+    def test_never_is_the_one_spelling(self, sensor):
+        assert RotationPolicy("never", (sensor,)).rotate_every == "never"
+        for other in (None, "Never", "0"):
+            with pytest.raises(ValueError):
+                RotationPolicy(other, (sensor,))
 
     def test_rejects_non_positive(self, sensor):
         with pytest.raises(ValueError):
