@@ -56,17 +56,15 @@ class Config:
     def objects_dir(self) -> Path:
         return self.data_dir / "objects"
 
-    def open_chain(self) -> ledger.Chain:
+    def open_chain(self, audit: bool) -> ledger.Chain:
         if not self.chain_path.exists():
             raise click.UsageError(f"no chain at {self.chain_path}; run init first")
         if not self.genesis_path.exists():
             raise click.UsageError(f"missing genesis config {self.genesis_path}")
-        chain = ledger.Chain.open(self.chain_path, ledger.load_genesis_config(self.genesis_path))
         # pinned to the sealer's public half (mode 0644), so reads never need the private key
         public_path = self.sealer_key_path.with_name(self.sealer_key_path.name + ".pub")
-        if public_path.exists() and load_signing_public(public_path) != chain.state.authority:
-            raise ledger.BadSealerSignature(f"chain was sealed by a key other than {public_path}")
-        return chain
+        authority = load_signing_public(public_path) if public_path.exists() else None
+        return ledger.Chain.open(self.chain_path, ledger.load_genesis_config(self.genesis_path), authority, audit)
 
 
 class _Main(click.Group):
@@ -88,9 +86,10 @@ def _parse_offset(ctx, param, value: str) -> Decimal:
         raise click.BadParameter(str(exc))
 
 
-def _parse_data_dir(ctx, param, value: Path) -> Path:
-    if not next(path for path in (value, *value.parents) if path.exists()).is_dir():
-        raise click.BadParameter(f"{value} is or lies below a file, not a directory")
+def _parse_creatable(ctx, param, value: Path) -> Path:
+    """Refuse a path below a file; the option's type refuses a wrong kind of file at the path itself."""
+    if not next((path for path in value.parents if path.exists()), value).is_dir():  # "/" and "." have no parents
+        raise click.BadParameter(f"{value} lies below a file, not a directory")
     return value
 
 
@@ -100,8 +99,8 @@ def _parse_data_dir(ctx, param, value: Path) -> Path:
     envvar="THERMOLEDGER_DATA_DIR",
     default="./thermoledger-data",
     show_default=True,
-    type=click.Path(path_type=Path),
-    callback=_parse_data_dir,
+    type=click.Path(file_okay=False, path_type=Path),
+    callback=_parse_creatable,
     help="Directory holding the chain, keys, and object store.",
 )
 @click.option("--sealer-key", type=click.Path(path_type=Path), default=None, help="Sealer key file [default: DATA_DIR/sealer.key].")
@@ -118,7 +117,7 @@ def main(ctx, data_dir: Path, sealer_key: Path | None, offset_c: Decimal):
 
 @main.command()
 @click.option("--kind", type=click.Choice(["signing", "encryption"]), default="signing", show_default=True)
-@click.option("--out", required=True, type=click.Path(dir_okay=False, path_type=Path), help="Private key path; the public half goes to OUT.pub.")
+@click.option("--out", required=True, type=click.Path(dir_okay=False, path_type=Path), callback=_parse_creatable, help="Private key path; the public half goes to OUT.pub.")
 def keygen(kind: str, out: Path):
     """Generate a keypair; print the address or fingerprint."""
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -161,7 +160,7 @@ def init(config: Config, genesis_file: Path):
 def ingest(config: Config, csv_file: Path, receiver: str, rotate_every: int | None, sender_keys: tuple[Path, ...], no_seal: bool):
     """Ingest a temperature CSV as one block of transactions."""
     receiver = _address_arg(receiver)
-    chain = config.open_chain()
+    chain = config.open_chain(audit=False)
     readings = telemetry.ingest_csv(csv_file)
     pool = tuple(load_signing_key(path) for path in sender_keys)
     try:
@@ -188,7 +187,7 @@ def ingest(config: Config, csv_file: Path, receiver: str, rotate_every: int | No
 @click.pass_obj
 def seal(config: Config):
     """Seal queued pending transactions (an empty queue seals an empty block)."""
-    chain = config.open_chain()
+    chain = config.open_chain(audit=False)
     pending = _queued(config, chain)
     sealer = load_signing_key(config.sealer_key_path)
     block = chain.seal(pending, sealer)
@@ -212,8 +211,8 @@ def _load_pending(path: Path) -> list[ledger.Transaction]:
 @main.command()
 @click.pass_obj
 def verify(config: Config):
-    """Replay and verify the whole chain; exit 0 if sound."""
-    chain = config.open_chain()
+    """Replay and verify the whole chain, every signature included; exit 0 if sound."""
+    chain = config.open_chain(audit=True)
     click.echo(f"ok: {len(chain.blocks)} blocks, head {chain.head.block_hash.hex()}")
 
 
@@ -225,7 +224,7 @@ def verify(config: Config):
 @click.pass_obj
 def explorer(config: Config, receiver: str | None, sender: str | None, fmt: str, raw: bool):
     """Print the transaction table: Tx Hash, Block, From, To, Value."""
-    chain = config.open_chain()
+    chain = config.open_chain(audit=False)
     rows = chain.query(
         sender=_address_arg(sender) if sender else None,
         recipient=_address_arg(receiver) if receiver else None,
@@ -247,7 +246,7 @@ def explorer(config: Config, receiver: str | None, sender: str | None, fmt: str,
 @click.pass_obj
 def balance(config: Config, address: str):
     """Print an account's balance in base units."""
-    chain = config.open_chain()
+    chain = config.open_chain(audit=False)
     click.echo(str(chain.state.account(_address_arg(address)).balance))
 
 

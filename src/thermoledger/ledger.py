@@ -5,7 +5,12 @@ wallets to a building-management account. One configured authority key
 seals blocks (a private deployment has exactly one operator), so the
 chain is linear: no mining, no forks. Verification replays every block
 from the genesis allocation and checks hashes, links, Merkle roots,
-seals, and per-transaction signatures, nonces, and balances.
+seals, and per-transaction signatures, nonces, and balances; that audit,
+``verify_chain``, trusts only genesis. A ``Chain.open`` pinned to the
+authority key lets its seal vouch for the Ed25519 signatures under it (the
+seal signs their Merkle root, and the writer checked each before sealing),
+so forging a read takes the sealer's private key; unpinned reads check all.
+A checkpoint file would instead trust whoever can write the data directory.
 The writer runs that same per-block check on every block it seals before
 returning it, and genesis is simply the height-0 seal of an empty list.
 Replay applies a block's transactions in place to one copy of the account
@@ -296,12 +301,12 @@ def _attach_signature(key: SigningKey, payload: bytes) -> bytes:
     return key.public_bytes + key.sign(payload)
 
 
-def _check_signature(signature: bytes, payload: bytes, error: type[Error]) -> bytes:
-    """Verify a pubkey || signature field over payload; returns the pubkey."""
+def _check_signature(signature: bytes, payload: bytes | None, error: type[Error]) -> bytes:
+    """Verify a pubkey || signature field over payload (None: its length only); returns the pubkey."""
     if len(signature) != _SEALED_SIG_SIZE:
         raise error(f"signature must be {_SEALED_SIG_SIZE} bytes, got {len(signature)}")
     public_key = signature[:PUBLIC_KEY_SIZE]
-    if not verify_signature(public_key, signature[PUBLIC_KEY_SIZE:], payload):
+    if payload is not None and not verify_signature(public_key, signature[PUBLIC_KEY_SIZE:], payload):
         raise error("signature does not verify over the canonical payload")
     return public_key
 
@@ -312,9 +317,9 @@ def build_and_sign_tx(sender_key: SigningKey, to: str, value: int, nonce: int) -
     return replace(unsigned, signature=_attach_signature(sender_key, unsigned.signing_payload()))
 
 
-def verify_tx(tx: Transaction, state: ChainState) -> None:
-    """Raise BadSignature, NonceMismatch, or InsufficientBalance."""
-    public_key = _check_signature(tx.signature, tx.signing_payload(), BadSignature)
+def verify_tx(tx: Transaction, state: ChainState, trust_seal: bool) -> None:
+    """Raise BadSignature, NonceMismatch, or InsufficientBalance; trust_seal skips only the Ed25519 check."""
+    public_key = _check_signature(tx.signature, None if trust_seal else tx.signing_payload(), BadSignature)
     if derive_address(public_key) != tx.sender:
         raise BadSignature("embedded public key does not derive the from-address")
     account = state.account(tx.sender)
@@ -346,22 +351,22 @@ def _pre_genesis(genesis_config: Sequence[tuple[str, int]], authority: bytes) ->
     return ChainState(accounts=accounts, head_hash=ZERO_HASH, head_height=-1, authority=authority)
 
 
-def _replay(transactions: Sequence[Transaction], state: ChainState) -> ChainState:
-    """Verify and apply transactions in order on one copy of the map; SealRejected on the first failure."""
+def _replay(transactions: Sequence[Transaction], state: ChainState, trust_seal: bool) -> ChainState:
+    """Verify (see verify_tx) and apply transactions in order on one copy of the map; SealRejected on the first failure."""
     sealer = derive_address(state.authority)
     accounts = state.accounts.copy()  # a mappingproxy copies at dict speed only through copy(), not dict()
     working = replace(state, accounts=accounts)
     for index, tx in enumerate(transactions):
         try:
-            verify_tx(tx, working)
+            verify_tx(tx, working, trust_seal)
             apply_tx(tx, accounts, sealer)
         except Error as exc:
             raise SealRejected(index, exc) from exc
     return replace(state, accounts=MappingProxyType(accounts))
 
 
-def _accept(block: Block, state: ChainState) -> ChainState:
-    """The one block check: link, stored hash, Merkle root, seal, then replay."""
+def _accept(block: Block, state: ChainState, trust_seal: bool) -> ChainState:
+    """The one block check: link, stored hash, Merkle root, seal, then replay (see verify_tx)."""
     if block.height != state.head_height + 1:
         raise BrokenLink(f"height {block.height} does not follow {state.head_height}")
     if block.prev_hash != state.head_hash:
@@ -372,7 +377,7 @@ def _accept(block: Block, state: ChainState) -> ChainState:
         raise MerkleRootMismatch("transaction list does not produce the stored root")
     if _check_signature(block.sealer_signature, block.seal_payload(), BadSealerSignature) != state.authority:
         raise BadSealerSignature("sealed by a key other than the chain authority")
-    state = _replay(block.transactions, state)
+    state = _replay(block.transactions, state, trust_seal)
     return replace(state, head_hash=block.block_hash, head_height=block.height)
 
 
@@ -401,16 +406,20 @@ def seal_block(
         sealer_signature=b"",
     )
     block = replace(unsealed, sealer_signature=_attach_signature(sealer_key, unsealed.seal_payload()))
-    return block, _accept(block, state)
+    return block, _accept(block, state, trust_seal=False)
 
 
 def verify_chain(blocks: Sequence[Block], genesis_config: Sequence[tuple[str, int]]) -> ChainState:
-    """Replay a chain from genesis, checking every derived quantity.
+    """Replay a chain from genesis, checking every derived quantity and signature.
 
     The authority is the key that sealed the genesis block; every later
     block must be sealed by the same key. Returns the final state, or
     raises ChainVerificationError naming the offending height and cause.
     """
+    return _replay_chain(blocks, genesis_config, trust_seal=False)
+
+
+def _replay_chain(blocks: Sequence[Block], genesis_config: Sequence[tuple[str, int]], trust_seal: bool) -> ChainState:
     if not blocks:
         raise ChainVerificationError(0, MalformedBlock("chain has no genesis block"))
     genesis = blocks[0]
@@ -419,7 +428,7 @@ def verify_chain(blocks: Sequence[Block], genesis_config: Sequence[tuple[str, in
     state = _pre_genesis(genesis_config, genesis.sealer_signature[:PUBLIC_KEY_SIZE])
     for block in blocks:
         try:
-            state = _accept(block, state)
+            state = _accept(block, state, trust_seal)
         except SealRejected as exc:
             raise ChainVerificationError(block.height, exc.cause) from exc
         except Error as exc:
@@ -498,9 +507,17 @@ class Chain:
         return cls([genesis], state, Path(path))
 
     @classmethod
-    def open(cls, path: str | Path, genesis_config: Sequence[tuple[str, int]]) -> "Chain":
+    def open(cls, path: str | Path, genesis_config: Sequence[tuple[str, int]], authority: bytes | None, audit: bool) -> "Chain":
+        """Load and replay a chain file. A pinned authority refuses a chain whose genesis another key
+        sealed; unless audit, its seals then stand in for the transactions' Ed25519 checks. An audit
+        or an unpinned open is verify_chain."""
         blocks = load_chain(path)
-        state = verify_chain(blocks, genesis_config)
+        if authority is not None and blocks and blocks[0].sealer_signature[:PUBLIC_KEY_SIZE] != authority:
+            raise BadSealerSignature("chain was sealed by a key other than the pinned authority")
+        if audit or authority is None:
+            state = verify_chain(blocks, genesis_config)
+        else:
+            state = _replay_chain(blocks, genesis_config, trust_seal=True)
         return cls(blocks, state, Path(path))
 
     @property
@@ -517,7 +534,7 @@ class Chain:
 
     def state_after(self, pending: Sequence[Transaction]) -> ChainState:
         """The state once pending is sealed on the head; SealRejected if it cannot be."""
-        return _replay(pending, self._state)
+        return _replay(pending, self._state, trust_seal=False)
 
     def seal(self, pending: Sequence[Transaction], sealer_key: SigningKey) -> Block:
         """Seal pending into the next block, stamped with the wall clock, and append it to the chain file."""

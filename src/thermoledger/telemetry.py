@@ -74,7 +74,7 @@ class RotationPolicy:
 
     def __post_init__(self):
         k = self.rotate_every
-        if k != "never" and (not isinstance(k, int) or k < 1):
+        if k != "never" and (not isinstance(k, int) or isinstance(k, bool) or k < 1):
             raise ValueError("rotate_every must be a positive integer or never")
         addresses = [key.address for key in self.pool]
         if len(set(addresses)) != len(addresses):

@@ -71,6 +71,24 @@ def signed_tx(key: SigningKey, to: str, value: int, nonce: int, gas_limit: int, 
     return replace(unsigned, signature=key.public_bytes + key.sign(unsigned.signing_payload()))
 
 
+def seal_by_hand(parent: ledger.Block, txs, key: SigningKey) -> ledger.Block:
+    """A block on parent signed by key without the writer's checks, as a key holder could forge it."""
+    unsealed = ledger.Block(
+        height=parent.height + 1,
+        prev_hash=parent.block_hash,
+        merkle_root=ledger.merkle_root([tx.tx_hash for tx in txs]),
+        timestamp=300,
+        transactions=tuple(txs),
+        sealer_signature=b"",
+    )
+    return replace(unsealed, sealer_signature=key.public_bytes + key.sign(unsealed.seal_payload()))
+
+
+def bad_ed25519(tx: ledger.Transaction) -> ledger.Transaction:
+    """tx with its detached signature's last byte flipped: right length and key, wrong signature."""
+    return replace(tx, signature=tx.signature[:-1] + bytes([tx.signature[-1] ^ 1]))
+
+
 def sensor_pool(count: int, first_seed: int = 10) -> tuple[SigningKey, ...]:
     return tuple(seeded_key(first_seed + i) for i in range(count))
 

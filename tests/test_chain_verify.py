@@ -6,16 +6,18 @@ from dataclasses import replace
 import pytest
 
 from thermoledger import ledger
-from thermoledger.canonical import append_records, canonical_json
+from thermoledger.canonical import append_records, bytes_to_hex, canonical_json
 from thermoledger.errors import Error
 from thermoledger.keys import SigningKey
 from thermoledger.ledger import (
     BadSealerSignature,
+    BadSignature,
     BlockHashMismatch,
     BrokenLink,
     ChainVerificationError,
     MalformedBlock,
     MerkleRootMismatch,
+    NonceMismatch,
     build_and_sign_tx,
     load_chain,
     load_genesis_config,
@@ -23,7 +25,7 @@ from thermoledger.ledger import (
     write_genesis_config,
 )
 
-from .conftest import seal_at, signed_tx, supply
+from .conftest import PER_SENSOR_ALLOCATION, bad_ed25519, seal_at, seal_by_hand, signed_tx, supply
 
 
 @pytest.fixture
@@ -195,7 +197,7 @@ class TestPersistence:
         path = tmp_path / "chain.jsonl"
         chain = ledger.Chain.create(genesis_config, sealer, path)
         seal_at(chain, [build_and_sign_tx(sensor, bms.address, 5, nonce=0)], sealer, 7)
-        reopened = ledger.Chain.open(path, genesis_config)
+        reopened = ledger.Chain.open(path, genesis_config, sealer.public_bytes, audit=False)
         assert reopened.head.block_hash == chain.head.block_hash
         assert reopened.state.accounts_digest() == chain.state.accounts_digest()
 
@@ -267,3 +269,162 @@ class TestTamperFuzz:
             except (ChainVerificationError, MalformedBlock):
                 detected += 1
         assert detected == trials
+
+
+# --- seal-attested reads ----------------------------------------------------
+
+def _write_chain(path, blocks) -> None:
+    """Write blocks as stored lines, keeping a tampered stored hash."""
+    objs = [b.to_obj() for b in blocks]
+    for obj, block in zip(objs, blocks):
+        if block.claimed_hash is not None:
+            obj["block_hash"] = bytes_to_hex(block.claimed_hash)
+    append_records(path, objs)
+
+
+@pytest.fixture(params=["verify_chain", "pinned open"])
+def opener(request, sealer):
+    """The audit, or a read that pins the sealer: path, genesis config -> replayed state."""
+    if request.param == "verify_chain":
+        return lambda path, genesis_config: verify_chain(load_chain(path), genesis_config)
+    return lambda path, genesis_config: ledger.Chain.open(path, genesis_config, sealer.public_bytes, audit=False).state
+
+
+def _tamper_value(blocks, sensor, bms, sealer):
+    victim = blocks[1]
+    tx = victim.transactions[0]
+    blocks[1] = replace(victim, transactions=(replace(tx, value=tx.value + 1),) + victim.transactions[1:])
+    return 1, MerkleRootMismatch
+
+
+def _tamper_order(blocks, sensor, bms, sealer):
+    victim = blocks[1]
+    blocks[1] = replace(victim, transactions=(victim.transactions[1], victim.transactions[0]) + victim.transactions[2:])
+    return 1, MerkleRootMismatch
+
+
+def _tamper_link(blocks, sensor, bms, sealer):
+    blocks[2] = replace(blocks[2], prev_hash=b"\xaa" * 32)
+    return 2, BrokenLink
+
+
+def _tamper_stored_hash(blocks, sensor, bms, sealer):
+    blocks[1] = replace(blocks[1], claimed_hash=b"\xbb" * 32)
+    return 1, BlockHashMismatch
+
+
+def _tamper_nonce(blocks, sensor, bms, sealer):
+    blocks.append(seal_by_hand(blocks[-1], [build_and_sign_tx(sensor, bms.address, 1, nonce=9)], sealer))
+    return 3, NonceMismatch
+
+
+def _tamper_balance(blocks, sensor, bms, sealer):
+    overspend = build_and_sign_tx(sensor, bms.address, PER_SENSOR_ALLOCATION, nonce=5)
+    blocks.append(seal_by_hand(blocks[-1], [overspend], sealer))
+    return 3, ledger.InsufficientBalance
+
+
+def _tamper_address(blocks, sensor, bms, sealer):
+    tx = build_and_sign_tx(sensor, bms.address, 1, nonce=5)
+    blocks.append(seal_by_hand(blocks[-1], [replace(tx, sender=bms.address)], sealer))
+    return 3, BadSignature
+
+
+def _tamper_sealer(blocks, sensor, bms, sealer):
+    blocks.append(seal_by_hand(blocks[-1], [], sensor))
+    return 3, BadSealerSignature
+
+
+TAMPERS = {
+    "tx value": _tamper_value,
+    "tx order": _tamper_order,
+    "link": _tamper_link,
+    "stored hash": _tamper_stored_hash,
+    "nonce": _tamper_nonce,
+    "balance": _tamper_balance,
+    "address mismatch": _tamper_address,
+    "foreign sealer": _tamper_sealer,
+}
+
+
+@pytest.mark.parametrize("tamper", TAMPERS)
+def test_tamper_fails_audit_and_pinned_read(three_block_chain, genesis_config, sensor, bms, sealer, tmp_path, opener, tamper):
+    blocks = list(three_block_chain.blocks)
+    height, cause = TAMPERS[tamper](blocks, sensor, bms, sealer)
+    _write_chain(tmp_path / "chain.jsonl", blocks)
+    with pytest.raises(ChainVerificationError) as excinfo:
+        opener(tmp_path / "chain.jsonl", genesis_config)
+    assert excinfo.value.height == height
+    assert isinstance(excinfo.value.cause, cause)
+
+
+def test_every_single_byte_mutation_fails_a_pinned_read(three_block_chain, genesis_config, sealer, tmp_path):
+    # TestTamperFuzz's mutations, through the open that balance and explorer make
+    path = tmp_path / "chain.jsonl"
+    _write_chain(path, three_block_chain.blocks)
+    original = path.read_bytes()
+    rng = random.Random(0xC0FFEE)
+    detected = 0
+    trials = 120
+    for _ in range(trials):
+        position = rng.randrange(len(original))
+        new_byte = rng.randrange(256)
+        if new_byte == original[position]:
+            new_byte = (new_byte + 1) % 256
+        path.write_bytes(original[:position] + bytes([new_byte]) + original[position + 1 :])
+        try:
+            ledger.Chain.open(path, genesis_config, sealer.public_bytes, audit=False)
+        except (ChainVerificationError, MalformedBlock, BadSealerSignature):  # the pin refuses a changed genesis key
+            detected += 1
+    assert detected == trials
+
+
+@pytest.fixture
+def verify_calls(monkeypatch):
+    """Counts ledger.verify_signature calls while still verifying."""
+    calls = []
+    real = ledger.verify_signature
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ledger, "verify_signature", spy)
+    return calls
+
+
+def test_pinned_read_verifies_one_seal_per_block(three_block_chain, genesis_config, sealer, tmp_path, verify_calls):
+    path = tmp_path / "chain.jsonl"
+    _write_chain(path, three_block_chain.blocks)
+    blocks = three_block_chain.blocks
+    ledger.Chain.open(path, genesis_config, sealer.public_bytes, audit=False)
+    assert len(verify_calls) == len(blocks)
+    verify_calls.clear()
+    ledger.Chain.open(path, genesis_config, sealer.public_bytes, audit=True)
+    assert len(verify_calls) == len(blocks) + sum(len(b.transactions) for b in blocks) == 8
+    verify_calls.clear()
+    ledger.Chain.open(path, genesis_config, None, audit=False)
+    assert len(verify_calls) == 8
+
+
+def test_pinned_read_trusts_the_seal_for_ed25519_only(three_block_chain, genesis_config, sensor, bms, sealer, tmp_path):
+    # the documented trust: a block the pinned authority sealed vouches for its signatures
+    blocks = list(three_block_chain.blocks)
+    blocks.append(seal_by_hand(blocks[-1], [bad_ed25519(build_and_sign_tx(sensor, bms.address, 1, nonce=5))], sealer))
+    path = tmp_path / "chain.jsonl"
+    _write_chain(path, blocks)
+    assert ledger.Chain.open(path, genesis_config, sealer.public_bytes, audit=False).state.head_height == 3
+    for authority, audit in ((sealer.public_bytes, True), (None, False)):
+        with pytest.raises(ChainVerificationError) as excinfo:
+            ledger.Chain.open(path, genesis_config, authority, audit)
+        assert excinfo.value.height == 3 and isinstance(excinfo.value.cause, BadSignature)
+
+
+def test_pin_refuses_a_foreign_genesis_before_replay(genesis_config, sensor, tmp_path, sealer, verify_calls):
+    path = tmp_path / "chain.jsonl"
+    ledger.Chain.create(genesis_config, sensor, path)
+    verify_calls.clear()
+    for audit in (False, True):
+        with pytest.raises(BadSealerSignature):
+            ledger.Chain.open(path, genesis_config, sealer.public_bytes, audit)
+    assert verify_calls == []

@@ -13,9 +13,9 @@ from thermoledger import exchange, ledger
 from thermoledger.cli import main
 from thermoledger.dagstore import DagNode, Link, ObjectStore, cat_file
 from thermoledger.envelope import decrypt, load_identity
-from thermoledger.keys import SigningKey
+from thermoledger.keys import SigningKey, load_signing_key
 
-from .conftest import FIXTURE_CSV, FIXTURE_VALUES, PER_SENSOR_ALLOCATION, serve
+from .conftest import FIXTURE_CSV, FIXTURE_VALUES, PER_SENSOR_ALLOCATION, bad_ed25519, seal_by_hand, serve
 
 runner = CliRunner()
 
@@ -223,6 +223,19 @@ class TestChainCommands:
         assert (data / "chain.jsonl").read_bytes() == before
         run("--data-dir", data, "verify")
 
+    def test_pinned_reads_trust_the_seal_and_verify_checks_every_signature(self, workspace):
+        data = workspace["data"]
+        sealer, sensor = load_signing_key(data / "sealer.key"), load_signing_key(data / "sensor.key")
+        head = ledger.load_chain(data / "chain.jsonl")[-1]
+        forged = bad_ed25519(ledger.build_and_sign_tx(sensor, workspace["bms"], 7, nonce=0))
+        ledger.append_block(data / "chain.jsonl", seal_by_hand(head, [forged], sealer))
+        assert run("--data-dir", data, "balance", workspace["bms"]).output == "7\n"
+        result = run("--data-dir", data, "verify", expect=1)
+        assert result.stderr.startswith("ChainVerificationError: BadSignature at height 1: ")
+        (data / "sealer.key.pub").unlink()  # nothing pinned: reads check every signature too
+        result = run("--data-dir", data, "balance", workspace["bms"], expect=1)
+        assert result.stderr.startswith("ChainVerificationError: BadSignature at height 1: ")
+
     def test_verify_refuses_genesis_sealed_by_another_key(self, workspace):
         data = workspace["data"]
         _reseal_genesis(data)
@@ -376,6 +389,7 @@ HOSTILE_INPUTS = {
     "repeated sender key": lambda ws: _ingest_args(ws, "0", "--sender-key", ws["data"] / "sensor.key"),
     "port 99999": lambda ws: ["--data-dir", ws["data"], "serve", "--host", "127.0.0.1", "--port", "99999"],
     "keygen out directory": lambda ws: ["keygen", "--out", ws["data"]],
+    "keygen out below a file": lambda ws: ["keygen", "--out", ws["data"] / "genesis.json" / "x.key"],
     "fetch out directory": lambda ws: _fetch_args(ws, "127.0.0.1:1", ws["data"]),
     "fetch port superscript": lambda ws: _fetch_args(ws, "127.0.0.1:\u00b2", ws["data"] / "out.bin"),
     "fetch port 65536": lambda ws: _fetch_args(ws, "127.0.0.1:65536", ws["data"] / "out.bin"),

@@ -69,7 +69,7 @@ class TestMerkleRoot:
 class TestTransaction:
     def test_signature_verifies_and_hash_stable(self, sensor, bms, chain):
         tx = build_and_sign_tx(sensor, bms.address, 30, nonce=0)
-        verify_tx(tx, chain.state)
+        verify_tx(tx, chain.state, trust_seal=False)
         assert tx.canonical() == tx.canonical()
         rebuilt = build_and_sign_tx(sensor, bms.address, 30, nonce=0)
         assert rebuilt.tx_hash == tx.tx_hash
@@ -95,13 +95,28 @@ class TestTransaction:
             sig[position] ^= 0x01
             tampered = replace(tx, signature=bytes(sig))
             with pytest.raises(BadSignature):
-                verify_tx(tampered, chain.state)
+                verify_tx(tampered, chain.state, trust_seal=False)
 
     def test_sender_must_match_embedded_key(self, sensor, bms, chain):
         tx = build_and_sign_tx(sensor, bms.address, 30, nonce=0)
         imposter = replace(tx, sender=seeded_key(9).address)
         with pytest.raises(BadSignature):
-            verify_tx(imposter, chain.state)
+            verify_tx(imposter, chain.state, trust_seal=False)
+
+    def test_trusted_seal_skips_only_the_ed25519_check(self, sensor, bms, chain):
+        tx = build_and_sign_tx(sensor, bms.address, 30, nonce=0)
+        forged = replace(tx, signature=tx.signature[:-1] + bytes([tx.signature[-1] ^ 1]))
+        verify_tx(forged, chain.state, trust_seal=True)
+        rejected = [
+            (replace(tx, signature=tx.signature[:-1]), chain.state, BadSignature),
+            (replace(tx, signature=tx.signature + b"\x00"), chain.state, BadSignature),
+            (replace(forged, sender=seeded_key(9).address), chain.state, BadSignature),
+            (replace(forged, nonce=1), chain.state, NonceMismatch),
+            (forged, _state({sensor.address: Account(sensor.address, balance=29)}), InsufficientBalance),
+        ]
+        for bad, state, error in rejected:
+            with pytest.raises(error):
+                verify_tx(bad, state, trust_seal=True)
 
     def test_round_trip_encoding(self, sensor, bms):
         tx = signed_tx(sensor, bms.address, 12345, 7, gas_limit=50_000, gas_price=2)
@@ -117,14 +132,14 @@ class TestVerifyAndApply:
         key = seeded_key(21)
         state = _state({key.address: Account(key.address, balance=100)})
         tx = build_and_sign_tx(key, bms.address, 30, nonce=0)
-        verify_tx(tx, state)
+        verify_tx(tx, state, trust_seal=False)
 
     def test_insufficient_balance(self, bms):
         key = seeded_key(21)
         state = _state({key.address: Account(key.address, balance=20)})
         tx = build_and_sign_tx(key, bms.address, 30, nonce=0)
         with pytest.raises(InsufficientBalance):
-            verify_tx(tx, state)
+            verify_tx(tx, state, trust_seal=False)
 
     def test_replayed_nonce(self, bms):
         key = seeded_key(21)
@@ -133,7 +148,7 @@ class TestVerifyAndApply:
         apply_tx(tx, accounts, sealer=bms.address)
         state = _state(accounts)
         with pytest.raises(NonceMismatch):
-            verify_tx(tx, state)
+            verify_tx(tx, state, trust_seal=False)
 
     def test_simple_transfer(self, bms):
         key = seeded_key(21)

@@ -222,6 +222,11 @@ class TestRotationPolicy:
         with pytest.raises(ValueError):
             RotationPolicy(0, (sensor,))
 
+    def test_rejects_a_bool(self, sensor):
+        for flag in (True, False):
+            with pytest.raises(ValueError):
+                RotationPolicy(flag, (sensor,))
+
     def test_rejects_duplicate_pool(self, sensor):
         with pytest.raises(ValueError):
             RotationPolicy(2, (sensor, sensor))
