@@ -146,10 +146,13 @@ def parse_b64(text: str, what: str) -> bytes:
 
 
 def read_records(path: str | Path, from_obj: Callable[[dict], object], error: Callable[[str], Exception]) -> list:
-    """Parse one canonical JSON object per line, no blank lines; ``error("line N: ...")``."""
+    """Parse one canonical JSON object per line, no blank lines; ``error("line N: ...")``.
+    A final line with no newline, a write cut short, is kept if it parses and dropped if not."""
     records = []
     with open(path, "rb") as fp:
         for lineno, line in enumerate(fp, start=1):
+            if not line.endswith(b"\n") and not _parses(line):
+                break
             line = line.rstrip(b"\n")
             try:
                 if not line:
@@ -160,9 +163,27 @@ def read_records(path: str | Path, from_obj: Callable[[dict], object], error: Ca
     return records
 
 
+def _parses(line: bytes) -> bool:
+    try:
+        parse_canonical(line, None, "record")
+    except ValueError:
+        return False
+    return True
+
+
 def append_records(path: str | Path, records: Iterable[dict]) -> None:
-    """Append each record's canonical JSON as one line: what read_records reads."""
-    with open(path, "ab") as fp:
+    """Append each record's canonical JSON as one line: what read_records reads.
+    A torn final line is first ended with its newline if it parses, cut off if not."""
+    with open(path, "ab+") as fp:
+        fp.seek(max(fp.seek(0, os.SEEK_END) - 1, 0))
+        if fp.read(1) not in (b"", b"\n"):
+            fp.seek(0)
+            data = fp.read()
+            start = data.rfind(b"\n") + 1
+            if _parses(data[start:]):
+                fp.write(b"\n")
+            else:
+                fp.truncate(start)
         fp.write(b"".join(canonical_json(record) + b"\n" for record in records))
 
 

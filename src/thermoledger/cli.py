@@ -158,7 +158,7 @@ def init(config: Config, genesis_file: Path):
 @click.option("--no-seal", is_flag=True, help="Queue transactions in pending.jsonl instead of sealing a block.")
 @click.pass_obj
 def ingest(config: Config, csv_file: Path, receiver: str, rotate_every: int | None, sender_keys: tuple[Path, ...], no_seal: bool):
-    """Ingest a temperature CSV as one block of transactions."""
+    """Ingest a temperature CSV: queue it, then seal the whole queue as one block."""
     receiver = _address_arg(receiver)
     chain = config.open_chain(audit=False)
     readings = telemetry.ingest_csv(csv_file)
@@ -167,20 +167,19 @@ def ingest(config: Config, csv_file: Path, receiver: str, rotate_every: int | No
         rotation = telemetry.RotationPolicy("never" if rotate_every is None else rotate_every, pool)
     except ValueError as exc:
         raise click.UsageError(str(exc))
+    queued = _queued(config, chain)
     txs = telemetry.pump(
         readings,
         rotation,
         receiver,
-        chain.state_after(_queued(config, chain)),  # nonces continue after the queue
+        chain.state_after(queued),  # nonces continue after the queue
         offset_c=config.offset_c,
     )
     if no_seal:
         append_records(config.pending_path, [tx.to_obj() for tx in txs])
         click.echo(f"queued {len(txs)} transactions in {config.pending_path}")
         return
-    sealer = load_signing_key(config.sealer_key_path)
-    block = chain.seal(txs, sealer)
-    click.echo(f"sealed block {block.height} with {len(txs)} transactions")
+    _seal(config, chain, queued + txs)
 
 
 @main.command()
@@ -188,24 +187,25 @@ def ingest(config: Config, csv_file: Path, receiver: str, rotate_every: int | No
 def seal(config: Config):
     """Seal queued pending transactions (an empty queue seals an empty block)."""
     chain = config.open_chain(audit=False)
-    pending = _queued(config, chain)
-    sealer = load_signing_key(config.sealer_key_path)
-    block = chain.seal(pending, sealer)
+    _seal(config, chain, _queued(config, chain))
+
+
+def _seal(config: Config, chain: ledger.Chain, txs: list[ledger.Transaction]) -> None:
+    """Seal txs, which start with the whole queue, as the next block; then empty the queue."""
+    block = chain.seal(txs, load_signing_key(config.sealer_key_path))
     if config.pending_path.exists():
         replace_file(config.pending_path, b"", 0o666)
-    click.echo(f"sealed block {block.height} with {len(pending)} transactions")
+    click.echo(f"sealed block {block.height} with {len(txs)} transactions")
 
 
 def _queued(config: Config, chain: ledger.Chain) -> list[ledger.Transaction]:
     """The queue less what the head block holds: a seal cut off before its reset left those."""
-    sealed = {tx.tx_hash for tx in chain.head.transactions}
-    return [tx for tx in _load_pending(config.pending_path) if tx.tx_hash not in sealed]
-
-
-def _load_pending(path: Path) -> list[ledger.Transaction]:
+    path = config.pending_path
     if not path.exists():
         return []
-    return read_records(path, ledger.Transaction.from_obj, lambda message: click.ClickException(f"{path} {message}"))
+    pending = read_records(path, ledger.Transaction.from_obj, lambda message: click.ClickException(f"{path} {message}"))
+    sealed = {tx.tx_hash for tx in chain.head.transactions}
+    return [tx for tx in pending if tx.tx_hash not in sealed]
 
 
 @main.command()
@@ -225,10 +225,7 @@ def verify(config: Config):
 def explorer(config: Config, receiver: str | None, sender: str | None, fmt: str, raw: bool):
     """Print the transaction table: Tx Hash, Block, From, To, Value."""
     chain = config.open_chain(audit=False)
-    rows = chain.query(
-        sender=_address_arg(sender) if sender else None,
-        recipient=_address_arg(receiver) if receiver else None,
-    )
+    rows = chain.query(_address_arg(sender) if sender else None, _address_arg(receiver) if receiver else None)
     out = io.StringIO()
     writer = csv_mod.writer(out, delimiter="\t" if fmt == "tsv" else ",", lineterminator="\n")
     writer.writerow(["Tx Hash", "Block", "From", "To", "Value"])
@@ -278,7 +275,7 @@ def publish(config: Config, in_path: Path, recipient: Path):
 @click.option("--root", required=True)
 @click.option("--from", "peer", required=True, help="Peer to fetch from, host:port.")
 @click.option("--identity", "identity_path", required=True, type=click.Path(path_type=Path), help="Recipient's private encryption key file.")
-@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False, path_type=Path))
+@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False, path_type=Path), callback=_parse_creatable)
 @click.pass_obj
 def fetch(config: Config, root: str, peer: str, identity_path: Path, out_path: Path):
     """Fetch a published file by root hash, verify, decrypt, and write it."""
@@ -290,6 +287,7 @@ def fetch(config: Config, root: str, peer: str, identity_path: Path, out_path: P
     sealed = dagstore.cat_file(nodes, root)
     del nodes  # the leaves now live on in sealed; do not hold them twice while decrypting
     plaintext = envelope.decrypt(sealed, envelope.load_identity(identity_path))
+    out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_bytes(plaintext)
     click.echo(f"fetched {transferred} nodes, wrote {len(plaintext)} bytes to {out_path}")
 

@@ -73,7 +73,8 @@ class Link:
 
 @dataclass(frozen=True)
 class DagNode:
-    """Either a leaf (data, no links) or an interior node (links, no data)."""
+    """Either a leaf (data, no links) or an interior node of 2 to 1024 links, no data,
+    whose links agree on each child's size (so one check per child covers every link)."""
 
     data: bytes = b""
     links: tuple[Link, ...] = ()
@@ -88,6 +89,8 @@ class DagNode:
         if len(self.links) > MAX_LINKS:
             # a root must not name more than the 256 MiB cap's worth of leaves
             raise InvalidNode(f"interior node has {len(self.links)} links, limit {MAX_LINKS}")
+        if len({link.hash: link.size for link in self.links}) != len({(link.hash, link.size) for link in self.links}):
+            raise InvalidNode("links that name one child disagree on its size")
 
     @property
     def is_leaf(self) -> bool:
@@ -211,22 +214,13 @@ def add_file(store: ObjectStore, content: bytes) -> str:
     return root_hash
 
 
-def cat_file(store: ObjectStore | Mapping[str, DagNode], root: str) -> bytes:
-    """Reassemble a file from its root hash; exact inverse of add_file.
-
-    ``store`` is read only through ``.get(hash)``: an ObjectStore, which
-    verifies every node it reads, or a map of nodes already verified, such
-    as the one ``fetch_dag`` returns.
-    """
-    node = store.get(root)
+def cat_file(nodes: Mapping[str, DagNode], root: str) -> bytes:
+    """The file under root, joined from the node map that ``exchange.fetch_dag``
+    checked and returned: the root's data, or its children's data in link order."""
+    node = nodes[root]
     if node.is_leaf:
         return node.data
-    parts = []
-    for link in node.links:
-        child = store.get(link.hash)
-        check_child(link, child)
-        parts.append(child.data)
-    return b"".join(parts)
+    return b"".join(nodes[link.hash].data for link in node.links)
 
 
 @dataclass(frozen=True)

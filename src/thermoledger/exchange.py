@@ -15,10 +15,10 @@ up to WINDOW gets outstanding, from one thread, and reads each reply as
 the answer to its oldest get. The client trusts nothing from the wire: a
 node is stored only after its bytes hash to the requested name and parse
 as a canonical node (an interior one names at most 1024 leaves, the
-256 MiB cap), so a corrupt or malicious peer can cause a failed fetch but
-never a corrupt store or an unbounded one. The bytes are stored as
-received, and the decoded nodes are handed back, so no node is encoded,
-hashed or decoded twice.
+256 MiB cap, each with one size), so a corrupt or malicious peer can
+cause a failed fetch but never a corrupt store or an unbounded one. The
+bytes are stored as received, and the decoded nodes are handed back, so
+no node is encoded, hashed or decoded twice.
 """
 
 from __future__ import annotations
@@ -209,19 +209,19 @@ WINDOW = 8  # gets outstanding at once; the server queues them on the socket
 
 
 def fetch_dag(endpoint: tuple[str, int], root: str, store: ObjectStore) -> tuple[int, dict[str, DagNode]]:
-    """Pull the DAG under root into the local store.
+    """Pull the DAG under root into the local store: the one checked reader of a DAG.
 
     Returns the number of nodes transferred and every node of the DAG by
     hash, which ``cat_file`` joins without reading the store again.
 
     A node already stored locally and intact is read through the verifying
     ``store.get`` and never requested (a local child that does not fit its
-    link raises CorruptObject); a damaged one is fetched again. The
-    root comes first, then its missing children, each requested once, with
-    up to WINDOW gets outstanding; the connection is opened only if some
-    node is missing. Every received node is verified (its bytes must hash
-    to the requested name and parse as a canonical node of at most 1024
-    links, and a child must be a leaf of its link's size) before its bytes
+    link raises CorruptObject); a damaged or invalid one is fetched again.
+    The root comes first, then its missing children, each requested and
+    checked once, with up to WINDOW gets outstanding; the connection is
+    opened only if some node is missing. Every received node is verified
+    (its bytes must hash to the requested name and parse as a canonical
+    node, and a child must be a leaf of its link's size) before its bytes
     are stored as received, so a lying peer aborts the fetch with
     HashMismatch or ProtocolError and leaves the store clean.
     """
@@ -269,7 +269,7 @@ def _receive(conn: _PeerConnection, store: ObjectStore, hash: str, link: Link | 
     try:
         node = decode_node(raw)
         if link is not None:
-            check_child(link, node)  # cat_file would refuse it, so never store it
+            check_child(link, node)  # a child that misfits its link is never stored
     except ValueError as exc:
         # hash already verified, so these bytes genuinely are the named
         # object; it just is not a DAG node

@@ -436,12 +436,8 @@ def _replay_chain(blocks: Sequence[Block], genesis_config: Sequence[tuple[str, i
     return state
 
 
-def query_transactions(
-    blocks: Iterable[Block],
-    sender: str | None = None,
-    recipient: str | None = None,
-) -> list[tuple[int, Transaction]]:
-    """Filter transactions by address, preserving chain order; one (height, tx) pair each."""
+def query_transactions(blocks: Iterable[Block], sender: str | None, recipient: str | None) -> list[tuple[int, Transaction]]:
+    """Filter transactions by address (None: any), preserving chain order; one (height, tx) pair each."""
     rows = []
     for block in blocks:
         for tx in block.transactions:
@@ -545,5 +541,5 @@ class Chain:
             self._state = new_state
             return block
 
-    def query(self, **kwargs) -> list[tuple[int, Transaction]]:
-        return query_transactions(self._blocks, **kwargs)
+    def query(self, sender: str | None, recipient: str | None) -> list[tuple[int, Transaction]]:
+        return query_transactions(self._blocks, sender, recipient)

@@ -9,8 +9,8 @@ import pytest
 
 from thermoledger import ledger
 from thermoledger.canonical import canonical_json
-from thermoledger.dagstore import MAX_LINKS, ObjectStore
-from thermoledger.exchange import PeerServer
+from thermoledger.dagstore import MAX_LINKS, ObjectStore, cat_file
+from thermoledger.exchange import PeerServer, fetch_dag
 from thermoledger.keys import SigningKey
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -93,11 +93,15 @@ def sensor_pool(count: int, first_seed: int = 10) -> tuple[SigningKey, ...]:
     return tuple(seeded_key(first_seed + i) for i in range(count))
 
 
+def raw_root(links) -> bytes:
+    """Canonical encoding of an interior node with these (hash, size) links,
+    which DagNode may refuse to build."""
+    return canonical_json({"data": "", "links": [{"name": "", "hash": hash, "size": str(size)} for hash, size in links]})
+
+
 def over_cap_root() -> bytes:
-    """Canonical encoding of an interior node with MAX_LINKS + 1 links, which
-    DagNode refuses to build."""
-    links = [{"name": "", "hash": f"{i:064x}", "size": "1"} for i in range(MAX_LINKS + 1)]
-    return canonical_json({"data": "", "links": links})
+    """An interior node with MAX_LINKS + 1 links."""
+    return raw_root((f"{i:064x}", 1) for i in range(MAX_LINKS + 1))
 
 
 @contextmanager
@@ -114,6 +118,13 @@ def serve(store) -> Iterator[PeerServer]:
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
+
+
+def read_back(store: ObjectStore, root: str) -> bytes:
+    """The file under root, read as ``file fetch`` reads it: fetch_dag's local
+    path, which contacts no peer while every node is stored intact (a missing
+    one ends in ConnectionLost, from a port nothing listens on), then cat_file."""
+    return cat_file(fetch_dag(("127.0.0.1", 1), root, store)[1], root)
 
 
 def stored(store: ObjectStore) -> set[str]:

@@ -20,7 +20,7 @@ from click.testing import CliRunner
 
 from thermoledger import exchange, ledger, telemetry
 from thermoledger.cli import main as cli_main
-from thermoledger.dagstore import NotFound, ObjectStore, add_file, cat_file, stat
+from thermoledger.dagstore import NotFound, ObjectStore, add_file, stat
 from thermoledger.envelope import Identity, WrongRecipient, decrypt, encrypt_for
 from thermoledger.errors import Error
 from thermoledger.exchange import HashMismatch, fetch_dag
@@ -28,7 +28,7 @@ from thermoledger.keys import SigningKey
 from thermoledger.ledger import build_and_sign_tx, load_chain, verify_chain
 
 from .conftest import (
-    FIXTURE_CSV, FIXTURE_VALUES, PER_SENSOR_ALLOCATION, audit, seal_at, seeded_key, sensor_pool, serve, signed_tx, stored, supply,
+    FIXTURE_CSV, FIXTURE_VALUES, PER_SENSOR_ALLOCATION, audit, read_back, seal_at, seeded_key, sensor_pool, serve, signed_tx, stored, supply,
 )
 
 
@@ -169,7 +169,7 @@ def test_criterion_5_chunk_algebra(tmp_path):
             assert len(stored(store)) == before + want
             add_file(store, content)
             assert len(stored(store)) == before + want, f"size {size}: re-add stored new nodes"
-            assert cat_file(store, root) == content
+            assert read_back(store, root) == content
 
 
 def test_criterion_6_end_to_end_replay(tmp_path):
@@ -183,7 +183,7 @@ def test_criterion_6_end_to_end_replay(tmp_path):
         fetcher = ObjectStore(tmp_path / "fetcher")
         with serve(publisher) as server:
             fetch_dag(server.endpoint, root, fetcher)
-        sealed = cat_file(fetcher, root)
+        sealed = read_back(fetcher, root)
         assert decrypt(sealed, recipient) == plaintext
         with pytest.raises(WrongRecipient):
             decrypt(sealed, Identity.generate())

@@ -153,3 +153,13 @@ def test_read_records_names_the_bad_line(tmp_path, content, line):
         read_records(path, from_obj, _Bad)
     path.write_bytes(b'{"a":"1"}\n{"a":"2"}')  # the last line may lack its newline
     assert read_records(path, from_obj, _Bad) == ["1", "2"]
+
+
+@pytest.mark.parametrize("tail", [b'{"a":"', b"{", b'{"a":"2"', b"\xff"])
+def test_read_records_drops_a_torn_final_line_that_does_not_parse(tmp_path, tail):
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(b'{"a":"1"}\n' + tail)
+    assert read_records(path, dict, _Bad) == [{"a": "1"}]
+    path.write_bytes(b'{"a":"1"}\n' + tail + b"\n")  # a terminated line is no torn write
+    with pytest.raises(_Bad, match="^line 2: "):
+        read_records(path, dict, _Bad)

@@ -2,20 +2,23 @@ import csv
 import io
 import json
 import random
+import shutil
 import subprocess
 import sys
 from decimal import Decimal
+from unittest import mock
 
 import pytest
 from click.testing import CliRunner
 
 from thermoledger import exchange, ledger
 from thermoledger.cli import main
-from thermoledger.dagstore import DagNode, Link, ObjectStore, cat_file
+from thermoledger.dagstore import DagNode, Link, ObjectStore
 from thermoledger.envelope import decrypt, load_identity
 from thermoledger.keys import SigningKey, load_signing_key
+from thermoledger.telemetry import encode_reading
 
-from .conftest import FIXTURE_CSV, FIXTURE_VALUES, PER_SENSOR_ALLOCATION, bad_ed25519, seal_by_hand, serve
+from .conftest import FIXTURE_CSV, FIXTURE_VALUES, PER_SENSOR_ALLOCATION, bad_ed25519, read_back, seal_by_hand, serve
 
 runner = CliRunner()
 
@@ -172,17 +175,44 @@ class TestChainCommands:
         assert "sealed block 1 with 48 transactions" in result.output
         run("--data-dir", workspace["data"], "verify")
 
-    def test_direct_seal_refused_while_queue_waits(self, workspace):
-        data = workspace["data"]
+    @pytest.mark.parametrize("batch_key", ["sensor.key", "sealer.key"])  # the queue's sender; another funded one
+    def test_sealing_ingest_is_queue_then_seal(self, workspace, tmp_path, batch_key):
+        data, twin = workspace["data"], tmp_path / "twin"
         _ingest_fixture(workspace, "--no-seal")
-        before = [(data / name).read_bytes() for name in ("chain.jsonl", "pending.jsonl")]
-        result = run(
-            "--data-dir", data, "ingest", "--csv", FIXTURE_CSV, "--to", workspace["bms"],
-            "--sender-key", data / "sensor.key", expect=1,
-        )
-        assert result.stderr.startswith("SealRejected: ")
-        assert [(data / name).read_bytes() for name in ("chain.jsonl", "pending.jsonl")] == before
-        assert "sealed block 1 with 24 transactions" in run("--data-dir", data, "seal").output
+        shutil.copytree(data, twin)
+
+        def batch(site, *extra):
+            return ["--data-dir", site, "ingest", "--csv", FIXTURE_CSV, "--to", workspace["bms"], "--sender-key", site / batch_key, *extra]
+
+        with mock.patch.object(ledger.time, "time", return_value=1_700_000_000):
+            assert "sealed block 1 with 48 transactions" in run(*batch(data)).output
+            run(*batch(twin, "--no-seal"))
+            run("--data-dir", twin, "seal")
+        assert (data / "chain.jsonl").read_bytes() == (twin / "chain.jsonl").read_bytes()
+        assert (data / "pending.jsonl").read_bytes() == b""
+        block = ledger.load_chain(data / "chain.jsonl")[1]
+        batch_sender = load_signing_key(data / batch_key).address
+        assert [tx.sender for tx in block.transactions] == [workspace["sensor"]] * 24 + [batch_sender] * 24
+        assert [tx.value for tx in block.transactions] == [encode_reading(Decimal(v)) for v in FIXTURE_VALUES] * 2
+        run("--data-dir", data, "verify")
+
+    @pytest.mark.parametrize("cut", [1, 40])  # the final newline alone; part of the record too
+    @pytest.mark.parametrize("name", ["chain.jsonl", "pending.jsonl"])
+    def test_torn_final_line_recovers_on_the_next_command(self, workspace, name, cut):
+        # what a crash part way through appending the last line leaves
+        data = workspace["data"]
+        _ingest_fixture(workspace, *(["--no-seal"] if name == "pending.jsonl" else []))
+        path = data / name
+        path.write_bytes(path.read_bytes()[:-cut])
+        kept = 24 if cut == 1 else 23 if name == "pending.jsonl" else 0  # a torn record that parses is kept
+        run("--data-dir", data, "balance", workspace["bms"])
+        _ingest_fixture(workspace, "--no-seal")
+        if name == "chain.jsonl":
+            assert run("--data-dir", data, "seal").output == f"sealed block {1 + (kept > 0)} with 24 transactions\n"
+        else:
+            assert run("--data-dir", data, "seal").output == f"sealed block 1 with {kept + 24} transactions\n"
+        run("--data-dir", data, "verify")
+        assert len(run("--data-dir", data, "explorer").output.splitlines()) == 1 + kept + 24
 
     def test_seal_cut_off_before_queue_reset_recovers(self, workspace):
         # a seal that appended its block but never emptied the queue
@@ -391,6 +421,8 @@ HOSTILE_INPUTS = {
     "keygen out directory": lambda ws: ["keygen", "--out", ws["data"]],
     "keygen out below a file": lambda ws: ["keygen", "--out", ws["data"] / "genesis.json" / "x.key"],
     "fetch out directory": lambda ws: _fetch_args(ws, "127.0.0.1:1", ws["data"]),
+    "fetch out below a file": lambda ws: _fetch_args(ws, "127.0.0.1:1", ws["data"] / "genesis.json" / "x.bin"),
+    "fetch out below a file, deeper": lambda ws: _fetch_args(ws, "127.0.0.1:1", ws["data"] / "genesis.json" / "a" / "x.bin"),
     "fetch port superscript": lambda ws: _fetch_args(ws, "127.0.0.1:\u00b2", ws["data"] / "out.bin"),
     "fetch port 65536": lambda ws: _fetch_args(ws, "127.0.0.1:65536", ws["data"] / "out.bin"),
     "data-dir file publish": lambda ws: [
@@ -464,14 +496,14 @@ class TestFileCommands:
         ).output.strip()
         with serve(ObjectStore(publisher / "objects")) as server:
             host, port = server.endpoint
-            out_file = tmp_path / "out.bin"
+            out_file = tmp_path / "missing" / "parents" / "out.bin"  # created, as keygen --out creates them
             result = run(
                 "--data-dir", fetcher, "file", "fetch",
                 "--root", root, "--from", f"{host}:{port}",
                 "--identity", tmp_path / "recipient.key", "--out", out_file,
             )
         assert result.output.startswith("fetched 5 nodes,")
-        stored = cat_file(ObjectStore(fetcher / "objects"), root)
+        stored = read_back(ObjectStore(fetcher / "objects"), root)
         assert decrypt(stored, load_identity(tmp_path / "recipient.key")) == out_file.read_bytes() == payload.read_bytes()
 
     def test_fetch_with_wrong_identity_fails(self, tmp_path):

@@ -19,13 +19,12 @@ from thermoledger.dagstore import (
     NotFound,
     ObjectStore,
     add_file,
-    cat_file,
     decode_node,
     encode_node,
     stat,
 )
 
-from .conftest import audit, over_cap_root, stored
+from .conftest import audit, over_cap_root, raw_root, read_back, stored
 
 # Independently computed: sha256 of {"data":"YWJj","links":[]} built by hand.
 LEAF_ABC_GOLDEN = "a08d2b75b4d2b2f52e22e412d7f9850f7f70d6169ab76b2fa77e8bcf2f960bce"
@@ -83,6 +82,19 @@ class TestHashNode:
         with pytest.raises(ValueError, match="limit 1024"):
             decode_node(over_cap_root())
 
+    def test_links_naming_one_child_agree_on_its_size(self, store):
+        leaf, _ = store.put(DagNode(data=bytes(1000)))
+        DagNode(links=(Link("", leaf, 1000), Link("", leaf, 1000)))  # a repeated chunk
+        with pytest.raises(InvalidNode, match="disagree on its size"):
+            DagNode(links=(Link("", leaf, 1000), Link("", leaf, 5)))
+        raw = raw_root([(leaf, 1000), (leaf, 5)])
+        with pytest.raises(ValueError, match="disagree on its size"):
+            decode_node(raw)
+        root = hashlib.sha256(raw).hexdigest()
+        store.put_raw(root, raw)
+        with pytest.raises(CorruptObject, match="disagree on its size"):
+            store.get(root)
+
     def test_encoding_round_trip(self):
         node = DagNode(links=(Link("", "aa" * 32, 7), Link("", "bb" * 32, 9)))
         assert decode_node(encode_node(node)) == node
@@ -138,7 +150,7 @@ class TestAddFile:
         root = add_file(store, b"")
         assert root == EMPTY_LEAF_GOLDEN
         assert len(stored(store)) == 1
-        assert cat_file(store, root) == b""
+        assert read_back(store, root) == b""
 
     def test_exactly_one_chunk_is_a_leaf(self, store):
         content = _random_bytes(CHUNK_SIZE)
@@ -186,33 +198,24 @@ class TestCatFile:
     @pytest.mark.parametrize("size", [0, 1, CHUNK_SIZE - 1, CHUNK_SIZE, CHUNK_SIZE + 1, 1_000_000])
     def test_round_trip_boundaries(self, store, size):
         content = _random_bytes(size, seed=size)
-        assert cat_file(store, add_file(store, content)) == content
+        assert read_back(store, add_file(store, content)) == content
 
     def test_round_trip_4mb(self, store):
         content = _random_bytes(4 * 1024 * 1024, seed=5)
-        assert cat_file(store, add_file(store, content)) == content
+        assert read_back(store, add_file(store, content)) == content
 
     @settings(max_examples=20, deadline=None)
     @given(st.binary(min_size=0, max_size=3 * CHUNK_SIZE))
     def test_round_trip_property(self, tmp_path_factory, content):
         store = ObjectStore(tmp_path_factory.mktemp("objects"))
-        assert cat_file(store, add_file(store, content)) == content
-
-    def test_missing_leaf_named(self, store):
-        content = _random_bytes(CHUNK_SIZE + 10, seed=6)
-        root = add_file(store, content)
-        victim = store.get(root).links[1].hash
-        store.delete(victim)
-        with pytest.raises(NotFound) as excinfo:
-            cat_file(store, root)
-        assert excinfo.value.hash == victim
+        assert read_back(store, add_file(store, content)) == content
 
     def test_link_size_must_match_its_leaf(self, store):
         leaves = [store.put(DagNode(data=_random_bytes(size, seed=size)))[0] for size in (1000, 2000)]
         root, _ = store.put(DagNode(links=tuple(Link(name="", hash=leaf, size=1) for leaf in leaves)))
         assert stat(store, root).total_size == 2
         with pytest.raises(CorruptObject) as excinfo:
-            cat_file(store, root)
+            read_back(store, root)
         assert excinfo.value.hash == leaves[0]
 
 
@@ -228,7 +231,7 @@ class TestStat:
         content = _random_bytes(700_001, seed=8)
         root = add_file(store, content)
         from_links = stat(store, root)
-        assert from_links.total_size == len(cat_file(store, root))
+        assert from_links.total_size == len(read_back(store, root))
         node = store.get(root)
         traversed = sum(len(store.get(link.hash).data) for link in node.links)
         assert from_links.total_size == traversed

@@ -9,6 +9,7 @@ import ast
 import base64
 import hashlib
 import json
+from decimal import Decimal
 from pathlib import Path
 
 import click
@@ -31,9 +32,9 @@ def _block_line(tmp_path, raw):
 
 
 def _pending_line(tmp_path, raw):
-    path = tmp_path / "pending.jsonl"
-    path.write_bytes(raw + b"\n")
-    cli._load_pending(path)
+    (tmp_path / "pending.jsonl").write_bytes(raw + b"\n")
+    chain = ledger.Chain.create((), seeded_key(1), tmp_path / "chain.jsonl")
+    cli._queued(cli.Config(tmp_path, tmp_path / "sealer.key", Decimal(0)), chain)
 
 
 def _store_raw(tmp_path, *raws) -> tuple[dagstore.ObjectStore, str]:

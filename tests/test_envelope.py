@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thermoledger.dagstore import ObjectStore, add_file, cat_file
+from thermoledger.dagstore import ObjectStore, add_file
 from thermoledger.envelope import (
     AuthenticationFailed,
     Identity,
@@ -20,7 +20,7 @@ from thermoledger.envelope import (
 )
 from thermoledger.errors import InvalidKey
 
-from .conftest import FIXTURE_CSV
+from .conftest import FIXTURE_CSV, read_back
 
 
 @pytest.fixture
@@ -130,7 +130,7 @@ class TestDoubleProtection:
         plaintext = FIXTURE_CSV.read_bytes()
         store = ObjectStore(tmp_path / "objects")
         root = add_file(store, encrypt_for(recipient.public_bytes, plaintext))
-        fetched = cat_file(store, root)
+        fetched = read_back(store, root)
         assert plaintext not in fetched
         with pytest.raises(WrongRecipient):
             decrypt(fetched, Identity.generate())

@@ -263,16 +263,17 @@ class TestQuery:
 
     def test_filter_by_recipient_returns_rows_in_order(self, chain, sensor, bms, sealer):
         chain = self._filled_chain(chain, sensor, bms, sealer)
-        rows = chain.query(recipient=bms.address)
+        rows = chain.query(None, bms.address)
         assert [tx.value for _, tx in rows] == [1, 2, 3, 100, 101]
+        assert chain.query(sensor.address, bms.address) == rows
 
     def test_unknown_address_empty(self, chain, sensor, bms, sealer):
         chain = self._filled_chain(chain, sensor, bms, sealer)
-        assert chain.query(recipient=seeded_key(30).address) == []
+        assert chain.query(None, seeded_key(30).address) == []
 
     def test_no_filter_heights_non_decreasing(self, chain, sensor, bms, sealer):
         chain = self._filled_chain(chain, sensor, bms, sealer)
-        rows = chain.query()
+        rows = chain.query(None, None)
         assert len(rows) == 5
         heights = [height for height, _ in rows]
         assert heights == sorted(heights)

@@ -105,8 +105,6 @@ DEFAULTED_PARAMETERS = [
     ("ledger", "Account", "balance", "src/thermoledger/ledger.py"),
     ("ledger", "Account", "nonce", "src/thermoledger/ledger.py"),
     ("ledger", "Block", "claimed_hash", "src/thermoledger/ledger.py"),
-    ("ledger", "query_transactions", "recipient", "src/thermoledger/ledger.py"),  # Chain.query forwards only the filters named
-    ("ledger", "query_transactions", "sender", "src/thermoledger/ledger.py"),
     ("telemetry", "encode_reading", "offset_c", "README.md"),
     ("telemetry", "pump", "offset_c", "perfbench/workloads.py"),
 ]

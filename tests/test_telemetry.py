@@ -177,7 +177,7 @@ class TestPump:
         readings = ingest_csv(FIXTURE_CSV)
         txs = pump(readings, RotationPolicy("never", (sensor,)), bms.address, chain.state)
         chain.seal(txs, sealer)
-        rows = chain.query(recipient=bms.address)
+        rows = chain.query(None, bms.address)
         assert [decode_value(tx.value, Decimal(0)) for _, tx in rows] == [r.temperature_c for r in readings]
 
     def test_nonces_continue_across_batches(self, chain, sensor, bms, sealer):

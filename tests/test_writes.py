@@ -58,6 +58,19 @@ def test_append_records_round_trips_through_read_records(tmp_path):
     assert read_records(path, dict, ValueError) == records
 
 
+@pytest.mark.parametrize("torn, kept", [
+    (b'{"a":"1"}', b'{"a":"1"}\n'),  # only the newline was lost: end the line
+    (b'{"a":"', b""),  # part of the record too: cut it off
+    (b'{"a":"1"}\n{"b":', b'{"a":"1"}\n'),
+])
+def test_append_records_mends_a_torn_final_line_first(tmp_path, torn, kept):
+    path = tmp_path / "records.jsonl"
+    path.write_bytes(torn)
+    append_records(path, [{"c": "3"}])
+    assert path.read_bytes() == kept + b'{"c":"3"}\n'
+    assert read_records(path, dict, ValueError)[-1] == {"c": "3"}
+
+
 class TestReplaceFile:
     def test_replaces_with_mode(self, tmp_path, umask_022):
         path = tmp_path / "f"
