@@ -29,7 +29,7 @@ import click
 from . import dagstore, envelope, exchange, ledger, telemetry
 from .canonical import append_records, read_records, replace_file
 from .errors import Error
-from .keys import SigningKey, load_signing_key, load_signing_public, require_address, save_signing_key
+from .keys import SigningKey, load_signing_key, load_signing_public, public_key_path, require_address, save_signing_key
 
 DEFAULT_PORT = 9464
 
@@ -62,7 +62,7 @@ class Config:
         if not self.genesis_path.exists():
             raise click.UsageError(f"missing genesis config {self.genesis_path}")
         # pinned to the sealer's public half (mode 0644), so reads never need the private key
-        public_path = self.sealer_key_path.with_name(self.sealer_key_path.name + ".pub")
+        public_path = public_key_path(self.sealer_key_path)
         authority = load_signing_public(public_path) if public_path.exists() else None
         return ledger.Chain.open(self.chain_path, ledger.load_genesis_config(self.genesis_path), authority, audit)
 
@@ -136,7 +136,7 @@ def keygen(kind: str, out: Path):
 @click.pass_obj
 def init(config: Config, genesis_file: Path):
     """Create a new chain from a genesis allocation file."""
-    if config.chain_path.exists():
+    if config.chain_path.exists() and ledger.load_chain(config.chain_path):
         raise click.ClickException(f"chain already exists at {config.chain_path}")
     if not config.sealer_key_path.exists():
         raise click.UsageError(

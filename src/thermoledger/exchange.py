@@ -1,14 +1,21 @@
-"""Node-to-node object fetch protocol.
+"""Node-to-node object fetch protocol, version 2.
 
 A peer that knows a root hash pulls the DAG from whoever stores it over a
 single TCP connection: it requests the root, then the root's children. No
 connection is made when every node is already stored locally and intact.
-Messages are canonical JSON frames prefixed with a 4-byte big-endian
-length, capped at 1 MiB (a maximum-size node plus overhead fits):
+Each frame is a 4-byte big-endian length and a payload of at most 1 MiB
+(a maximum-size node plus its version byte fits). Every payload starts
+with the version byte 0x02:
 
-    {"type": "get", "hash": <64 hex>}
-    {"type": "node", "hash": <64 hex>, "node": <base64 canonical encoding>}
-    {"type": "missing", "hash": <64 hex>}
+    get    0x02, then the node's 32-byte SHA-256 digest
+    reply  0x02, then the node's bytes exactly as the peer stores them
+    reply  0x02 alone: the peer lacks the node, or it fails the peer's
+           own hash check
+
+A payload with any other first byte ends the connection with
+ProtocolError, on either end. Version 1 sent canonical JSON messages with
+the node in base64, so every v1 frame starts with ``{`` and none passes
+as v2. There is no v1 path: this module is both ends of every connection.
 
 The server answers requests in order, so the client pipelines: it keeps
 up to WINDOW gets outstanding, from one thread, and reads each reply as
@@ -27,14 +34,16 @@ import socket
 import socketserver
 import struct
 
-from .canonical import b64, canonical_json, parse_b64, parse_bare_hex64, parse_object, require_keys, sha256
+from .canonical import canonical_json  # noqa: F401  uncalled here; perfbench/spans.py wraps this name
+from .canonical import parse_bare_hex64, sha256
 from .dagstore import CorruptObject, DagNode, Link, NotFound, ObjectStore, check_child, decode_node
 from .errors import Error
 
 MAX_FRAME_SIZE = 1024 * 1024
 PEER_TIMEOUT = 30.0  # seconds a peer may stay silent, on either end
+VERSION = b"\x02"
+DIGEST_SIZE = 32
 _LEN = struct.Struct(">I")
-_MESSAGE_KEYS = {"get": {"type", "hash"}, "node": {"type", "hash", "node"}, "missing": {"type", "hash"}}
 
 
 class HashMismatch(Error):
@@ -103,34 +112,19 @@ def _read_exact(sock: socket.socket, size: int) -> bytearray | None:
 
 
 def encode_get(hash: str) -> bytes:
-    return canonical_json({"type": "get", "hash": parse_bare_hex64(hash)})
+    return VERSION + bytes.fromhex(parse_bare_hex64(hash))
 
 
-def encode_node(hash: str, raw: bytes) -> bytes:
-    return canonical_json(
-        {"type": "node", "hash": parse_bare_hex64(hash), "node": b64(raw)}
-    )
+def encode_node(raw: bytes) -> bytes:
+    """A reply: the node's stored bytes, or b"" for a node this peer does not serve."""
+    return VERSION + raw
 
 
-def encode_missing(hash: str) -> bytes:
-    return canonical_json({"type": "missing", "hash": parse_bare_hex64(hash)})
-
-
-def decode_message(payload: bytes) -> dict:
-    """Parse and validate one wire message; raises ProtocolError."""
-    try:
-        obj = parse_object(payload, None, "message")
-        kind = obj.get("type")
-        keys = _MESSAGE_KEYS.get(kind) if isinstance(kind, str) else None
-        if keys is None:
-            raise ValueError(f"unknown message type {kind!r}")
-        require_keys(obj, keys, f"{kind} message")
-        parse_bare_hex64(obj["hash"])
-        if "node" in keys:
-            obj["node"] = parse_b64(obj["node"], "node payload")
-    except ValueError as exc:
-        raise ProtocolError(str(exc)) from exc
-    return obj
+def decode_message(payload: bytes) -> bytes:
+    """The body after the version byte; ProtocolError for any other version."""
+    if payload[:1] != VERSION:
+        raise ProtocolError(f"frame is not protocol version {VERSION[0]}")
+    return payload[1:]
 
 
 class _Handler(socketserver.BaseRequestHandler):
@@ -139,16 +133,14 @@ class _Handler(socketserver.BaseRequestHandler):
         self.request.settimeout(PEER_TIMEOUT)
         try:
             while (payload := read_frame(self.request)) is not None:
-                message = decode_message(payload)
-                if message["type"] != "get":
-                    raise ProtocolError("server accepts only get messages")
-                hash = message["hash"]
+                digest = decode_message(payload)
+                if len(digest) != DIGEST_SIZE:
+                    raise ProtocolError(f"a get carries a {DIGEST_SIZE}-byte digest, not {len(digest)} bytes")
                 try:
-                    reply = encode_node(hash, store.get_bytes(hash))
+                    raw = store.get_bytes(digest.hex())
                 except (NotFound, CorruptObject):
-                    # refuse to serve bytes that fail local verification
-                    reply = encode_missing(hash)
-                write_frame(self.request, reply)
+                    raw = b""  # refuse to serve bytes that fail local verification
+                write_frame(self.request, encode_node(raw))
         except Error:
             return  # a broken or hostile connection ends; the server goes on
 
@@ -188,12 +180,9 @@ class _PeerConnection:
         payload = read_frame(self._sock)
         if payload is None:
             raise ConnectionLost("peer closed the connection")
-        message = decode_message(payload)
-        if message["type"] == "missing" and message["hash"] == hash:
+        raw = decode_message(payload)
+        if not raw:
             raise RemoteMissing(hash)
-        if message["type"] != "node" or message["hash"] != hash:
-            raise ProtocolError(f"unexpected reply {message['type']!r} for {hash}")
-        raw = message["node"]
         if sha256(raw).hex() != hash:
             raise HashMismatch(hash)
         return raw

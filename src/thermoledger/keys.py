@@ -102,7 +102,12 @@ def save_key_pair(path: str | Path, kind: str, private: bytes, public: bytes) ->
     """
     path = Path(path)
     _create_key_file(path, {"kind": kind, "private_key": bytes_to_hex(private)}, 0o600)
-    _create_key_file(path.with_name(path.name + ".pub"), {"kind": kind + "-public", "public_key": bytes_to_hex(public)}, 0o666)
+    _create_key_file(public_key_path(path), {"kind": kind + "-public", "public_key": bytes_to_hex(public)}, 0o666)
+
+
+def public_key_path(path: Path) -> Path:
+    """PATH.pub, where the public half of the key file at PATH lives."""
+    return path.with_name(path.name + ".pub")
 
 
 def _create_key_file(path: Path, obj: dict, mode: int) -> None:

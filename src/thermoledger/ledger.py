@@ -493,13 +493,16 @@ class Chain:
 
     @classmethod
     def create(cls, genesis_config: Sequence[tuple[str, int]], sealer_key: SigningKey, path: str | Path) -> "Chain":
-        """Seal genesis and create the chain file (kept if it holds just this genesis, else Error)."""
+        """Seal genesis and create the chain file: kept if it holds just this genesis, written
+        after a torn line if it holds no block (a create cut short), else Error."""
         pre_genesis = _pre_genesis(genesis_config, sealer_key.public_bytes)
         genesis, state = seal_block([], pre_genesis, sealer_key, GENESIS_TIMESTAMP)
         try:
             create_file(path, canonical_json(genesis.to_obj()) + b"\n", 0o666)
         except FileExistsError:
-            raise Error(f"chain already exists at {path}") from None
+            if load_chain(path):
+                raise Error(f"chain already exists at {path}") from None
+            append_records(path, [genesis.to_obj()])  # which cuts the torn line off first
         return cls([genesis], state, Path(path))
 
     @classmethod

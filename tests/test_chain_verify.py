@@ -25,7 +25,7 @@ from thermoledger.ledger import (
     write_genesis_config,
 )
 
-from .conftest import PER_SENSOR_ALLOCATION, bad_ed25519, seal_at, seal_by_hand, signed_tx, supply
+from .conftest import PER_SENSOR_ALLOCATION, bad_ed25519, seal_at, seal_by_hand, seeded_key, signed_tx, supply
 
 
 @pytest.fixture
@@ -210,6 +210,15 @@ class TestPersistence:
             ledger.Chain.create(genesis_config, sealer, path)
         assert path.read_bytes() == before
         assert len(load_chain(path)) == 2
+
+    @pytest.mark.parametrize("writer", [1, 2])  # the sealer's own genesis, or another key's
+    def test_create_writes_genesis_after_a_torn_line(self, genesis_config, sealer, tmp_path, writer):
+        path = tmp_path / "chain.jsonl"
+        ledger.Chain.create(genesis_config, seeded_key(writer), path)
+        path.write_bytes(path.read_bytes()[:-40])
+        chain = ledger.Chain.create(genesis_config, sealer, path)
+        assert path.read_bytes() == canonical_json(chain.head.to_obj()) + b"\n"
+        assert load_chain(path) == [chain.head]
 
     def test_create_keeps_a_file_holding_its_genesis_line(self, chain, genesis_config, sealer, tmp_path):
         path = tmp_path / "chain.jsonl"

@@ -69,6 +69,33 @@ class TestChainCommands:
         assert result.exit_code == 1
         assert "already exists" in result.stderr
 
+    @pytest.mark.parametrize("kept", [0, 1, -40])  # an empty file, one byte, all but 40 bytes
+    def test_init_recreates_a_torn_genesis_line(self, workspace, tmp_path, kept):
+        # what an init cut off while writing chain.jsonl leaves
+        data = workspace["data"]
+        chain = data / "chain.jsonl"
+        whole = chain.read_bytes()
+        chain.write_bytes(whole[:kept])
+        for command in ("verify", "seal"):
+            assert "chain has no genesis block" in run("--data-dir", data, command, expect=1).stderr
+        run("--data-dir", data, "init", "--genesis", tmp_path / "genesis.json")
+        assert chain.read_bytes() == whole
+        run("--data-dir", data, "seal")
+        run("--data-dir", data, "verify")
+
+    @pytest.mark.parametrize("cut", [0, 40])  # genesis alone; genesis, then a torn block
+    def test_init_never_replaces_a_chain_that_holds_a_block(self, workspace, tmp_path, cut):
+        data = workspace["data"]
+        if cut:
+            _ingest_fixture(workspace)
+            (data / "chain.jsonl").write_bytes((data / "chain.jsonl").read_bytes()[:-cut])
+        other = tmp_path / "other-genesis.json"
+        other.write_text(json.dumps({workspace["bms"]: "1"}))
+        files = [data / "chain.jsonl", data / "genesis.json"]
+        before = [f.read_bytes() for f in files]
+        assert "already exists" in run("--data-dir", data, "init", "--genesis", other, expect=1).stderr
+        assert [f.read_bytes() for f in files] == before
+
     def test_init_requires_genesis_file(self, tmp_path):
         data = tmp_path / "fresh"
         run("--data-dir", data, "keygen", "--out", data / "sealer.key")

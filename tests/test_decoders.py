@@ -75,18 +75,6 @@ DECODERS = {
         "signature", _pending_line, click.ClickException,
     ),
     "node": (json.loads(NODE), "data", _dag_node, dagstore.CorruptObject),
-    "get-message": (
-        {"type": "get", "hash": "11" * 32},
-        "hash", lambda _, raw: exchange.decode_message(raw), exchange.ProtocolError,
-    ),
-    "node-message": (
-        {"type": "node", "hash": hashlib.sha256(NODE).hexdigest(), "node": base64.b64encode(NODE).decode()},
-        "node", lambda _, raw: exchange.decode_message(raw), exchange.ProtocolError,
-    ),
-    "missing-message": (
-        {"type": "missing", "hash": "11" * 32},
-        "hash", lambda _, raw: exchange.decode_message(raw), exchange.ProtocolError,
-    ),
     "envelope": (
         json.loads(envelope.encrypt_for(IDENTITY.public_bytes, b"records")),
         "ciphertext", lambda _, raw: envelope.decrypt(raw, IDENTITY), envelope.MalformedEnvelope,
@@ -127,8 +115,8 @@ def test_decoder_accepts_valid_record(tmp_path, decoder):
     decode(tmp_path, _encode(obj))
 
 
-# Records this program writes and reads back must be byte-canonical; wire
-# messages, envelopes and hand-edited key files are checked field by field.
+# Records this program writes and reads back must be byte-canonical;
+# envelopes and hand-edited key files are checked field by field.
 STORED = ("block", "pending", "node")
 
 

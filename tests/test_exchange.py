@@ -1,4 +1,6 @@
+import base64
 import hashlib
+import json
 import random
 import select
 import socket
@@ -10,10 +12,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from thermoledger import exchange
 from thermoledger.dagstore import CHUNK_SIZE, CorruptObject, DagNode, Link, NotFound, ObjectStore, add_file, cat_file
 from thermoledger.envelope import Identity, decrypt, encrypt_for
 from thermoledger.errors import Error
 from thermoledger.exchange import (
+    MAX_FRAME_SIZE,
     WINDOW,
     ConnectionLost,
     HashMismatch,
@@ -71,13 +75,25 @@ class _HoleyStore:
         return self._inner.get_bytes(hash)
 
 
+def _v1_reply(raw):
+    """The reply a version 1 peer sent: canonical JSON with the node in base64."""
+    message = {"hash": hashlib.sha256(raw).hexdigest(), "node": base64.b64encode(raw).decode(), "type": "node"}
+    return json.dumps(message, separators=(",", ":")).encode()
+
+
+# the get a version 1 client sent
+_V1_GET = json.dumps({"hash": "11" * 32, "type": "get"}, separators=(",", ":")).encode()
+
+
 class _CountingPeer:
     """Serves one connection, recording each get and the most gets it held
     unanswered at once. Before each reply it waits briefly for more gets,
-    so a pipelining client shows its window."""
+    so a pipelining client shows its window. ``reply`` encodes each node's
+    stored bytes."""
 
-    def __init__(self, store):
+    def __init__(self, store, reply=encode_node):
         self._store = store
+        self._reply = reply
         self.requested = []
         self.max_outstanding = 0
         self._listener = socket.create_server(("127.0.0.1", 0))
@@ -96,13 +112,13 @@ class _CountingPeer:
                         return
                     buf += chunk
                     while len(buf) >= 4 and len(buf) >= (end := 4 + struct.unpack(">I", buf[:4])[0]):
-                        queue.append(decode_message(buf[4:end])["hash"])
+                        queue.append(decode_message(buf[4:end]).hex())
                         self.requested.append(queue[-1])
                         buf = buf[end:]
                     self.max_outstanding = max(self.max_outstanding, len(queue))
                 elif queue:
                     hash = queue.pop(0)
-                    write_frame(conn, encode_node(hash, self._store.get_bytes(hash)))
+                    write_frame(conn, self._reply(self._store.get_bytes(hash)))
                 else:
                     return
 
@@ -134,30 +150,31 @@ def _tmp_files(store):
     return [path for path in store.root.rglob("*") if path.name.startswith(".tmp-")]
 
 
+def _object_file(store, hash):
+    return (store.root / hash[:2] / hash[2:]).read_bytes()
+
+
 class TestServe:
     def test_get_known_hash_returns_verified_node(self, remote):
         root = add_file(remote, b"small file")
         with serve(remote) as server, socket.create_connection(server.endpoint, timeout=5) as sock:
             write_frame(sock, encode_get(root))
-            message = decode_message(read_frame(sock))
-        assert message["type"] == "node"
-        assert message["hash"] == root
-        assert hashlib.sha256(message["node"]).hexdigest() == root
+            reply = read_frame(sock)
+        assert reply == b"\x02" + _object_file(remote, root)
+        assert hashlib.sha256(decode_message(reply)).hexdigest() == root
 
     def test_get_unknown_hash_returns_missing(self, remote):
         with serve(remote) as server, socket.create_connection(server.endpoint, timeout=5) as sock:
             write_frame(sock, encode_get("11" * 32))
-            message = decode_message(read_frame(sock))
-        assert message == {"type": "missing", "hash": "11" * 32}
+            assert read_frame(sock) == b"\x02"
 
     def test_pipelined_gets_answered_in_order(self, remote):
         roots = [add_file(remote, _content(1000, seed=i)) for i in range(3)]
         with serve(remote) as server, socket.create_connection(server.endpoint, timeout=5) as sock:
             for root in roots:
                 write_frame(sock, encode_get(root))
-            replies = [decode_message(read_frame(sock)) for _ in roots]
-        assert [r["hash"] for r in replies] == roots
-        assert all(r["type"] == "node" for r in replies)
+            replies = [read_frame(sock) for _ in roots]
+        assert replies == [b"\x02" + _object_file(remote, root) for root in roots]
 
     def test_concurrent_connections(self, remote):
         root = add_file(remote, b"shared")
@@ -167,7 +184,7 @@ class TestServe:
                 for sock in socks:
                     write_frame(sock, encode_get(root))
                 for sock in socks:
-                    assert decode_message(read_frame(sock))["type"] == "node"
+                    assert read_frame(sock) == b"\x02" + _object_file(remote, root)
             finally:
                 for sock in socks:
                     sock.close()
@@ -180,8 +197,7 @@ class TestServe:
         victim.write_bytes(bytes(raw))
         with serve(remote) as server, socket.create_connection(server.endpoint, timeout=5) as sock:
             write_frame(sock, encode_get(root))
-            message = decode_message(read_frame(sock))
-        assert message["type"] == "missing"
+            assert read_frame(sock) == b"\x02"
 
     def test_store_read_error_reaches_handle_error(self, remote, monkeypatch):
         def unreadable(hash):
@@ -196,14 +212,26 @@ class TestServe:
         assert len(reported) == 1
 
     def test_garbage_frame_closes_only_that_connection(self, remote):
-        root = add_file(remote, b"still serving")
-        with serve(remote) as server:
-            with socket.create_connection(server.endpoint, timeout=5) as bad:
-                write_frame(bad, b"this is not json")
-                assert read_frame(bad) is None  # server hung up on us
-            with socket.create_connection(server.endpoint, timeout=5) as good:
-                write_frame(good, encode_get(root))
-                assert decode_message(read_frame(good))["type"] == "node"
+        _assert_closes_only_that_connection(remote, b"this is not json")
+
+    @pytest.mark.parametrize(
+        "payload",
+        [b"\x02" + bytes(31), b"\x02" + bytes(33), b"", b"\x01" + bytes(32), b"\x03" + bytes(32), _V1_GET],
+        ids=["31-byte-digest", "33-byte-digest", "empty-frame", "version-1-byte", "version-3-byte", "v1-json-get"],
+    )
+    def test_malformed_get_closes_only_that_connection(self, remote, payload):
+        _assert_closes_only_that_connection(remote, payload)
+
+
+def _assert_closes_only_that_connection(store, payload):
+    root = add_file(store, b"still serving")
+    with serve(store) as server:
+        with socket.create_connection(server.endpoint, timeout=5) as bad:
+            write_frame(bad, payload)
+            assert read_frame(bad) is None  # server hung up on us
+        with socket.create_connection(server.endpoint, timeout=5) as good:
+            write_frame(good, encode_get(root))
+            assert read_frame(good) == b"\x02" + _object_file(store, root)
 
 
 class TestFetchDag:
@@ -394,6 +422,55 @@ class TestFetchDag:
         with pytest.raises(ConnectionLost):  # not taken as stored: the peer, down here, is asked
             fetch_dag(("127.0.0.1", 1), root, local)
 
+    @pytest.mark.parametrize(
+        "reply",
+        [_v1_reply, lambda raw: b"\x01" + raw, lambda raw: b"\x03" + raw, lambda raw: b""],
+        ids=["v1-json", "version-1-byte", "version-3-byte", "empty-frame"],
+    )
+    def test_reply_in_another_version_refused_and_nothing_stored(self, remote, local, reply):
+        root = add_file(remote, _content(3 * CHUNK_SIZE, seed=17))
+        with _CountingPeer(remote, reply) as peer:
+            with pytest.raises(ProtocolError, match="not protocol version 2"):
+                fetch_dag(peer.endpoint, root, local)
+        assert peer.requested == [root]
+        assert stored(local) == set()
+
+    def test_each_reply_is_the_version_byte_and_the_stored_bytes(self, remote, local, monkeypatch):
+        root = add_file(remote, _content(2 * CHUNK_SIZE + 5, seed=18))
+        replies = []
+        read = exchange.read_frame
+        monkeypatch.setattr(exchange, "read_frame", lambda sock: replies.append(read(sock)) or replies[-1])
+        with _CountingPeer(remote) as peer:
+            fetch_dag(peer.endpoint, root, local)
+        assert peer.requested == [root, *_leaves(root, remote)]
+        assert replies == [b"\x02" + _object_file(remote, hash) for hash in peer.requested]
+        assert all(_object_file(local, hash) == _object_file(remote, hash) for hash in peer.requested)
+
+    def test_reply_holding_another_node_refused(self, remote, local):
+        root = add_file(remote, _content(2 * CHUNK_SIZE, seed=19))
+        other = remote.get_bytes(_leaves(root, remote)[1])
+        with _CountingPeer(remote, lambda raw: encode_node(other)) as peer:
+            with pytest.raises(HashMismatch):
+                fetch_dag(peer.endpoint, root, local)
+        assert stored(local) == set()
+
+    def test_frame_over_the_cap_refused_before_its_payload(self, local):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            def announce_too_much():
+                conn, _ = listener.accept()
+                with conn:
+                    read_frame(conn)
+                    conn.sendall(struct.pack(">I", MAX_FRAME_SIZE + 1))
+                    conn.recv(1)  # until the client hangs up
+
+            thread = threading.Thread(target=announce_too_much, daemon=True)
+            thread.start()
+            with pytest.raises(ProtocolError, match="exceeds"):
+                fetch_dag(listener.getsockname(), "11" * 32, local)
+            thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert stored(local) == set()
+
     def test_root_over_link_cap_refused_before_any_child_get(self, local):
         raw = over_cap_root()
         root = hashlib.sha256(raw).hexdigest()
@@ -450,6 +527,8 @@ class TestFraming:
             write_frame(None, b"\x00" * (1024 * 1024 + 1))
 
     def test_message_decode_strict(self):
-        for bad in (b"[]", b'{"type":"push","hash":"' + b"00" * 32 + b'"}', b'{"type":"get"}'):
+        for bad in (b"", b"\x01" + bytes(32), b"\x03", b'{"type":"get","hash":"' + b"00" * 32 + b'"}'):
             with pytest.raises(ProtocolError):
                 decode_message(bad)
+        assert decode_message(b"\x02") == b""
+        assert decode_message(encode_get("ab" * 32)) == bytes([0xAB]) * 32

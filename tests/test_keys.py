@@ -14,6 +14,7 @@ from thermoledger.keys import (
     derive_address,
     load_signing_key,
     load_signing_public,
+    public_key_path,
     save_key_pair,
     save_signing_key,
     verify_signature,
@@ -95,6 +96,13 @@ def test_private_key_file_is_0600_from_its_first_write(tmp_path, monkeypatch):
         os.umask(old_umask)
     assert modes == [0o600, 0o644]
     assert stat.S_IMODE((tmp_path / "k.key").stat().st_mode) == 0o600
+
+
+def test_public_half_lives_at_public_key_path(tmp_path):
+    path = tmp_path / "k.key"
+    save_signing_key(path, seeded_key(1))
+    assert public_key_path(path) == tmp_path / "k.key.pub"
+    assert load_signing_public(public_key_path(path)) == seeded_key(1).public_bytes
 
 
 def test_key_file_never_replaced(tmp_path):
