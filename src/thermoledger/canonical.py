@@ -118,11 +118,11 @@ def parse_object(raw: bytes, keys: set[str] | None, what: str) -> dict:
     return obj
 
 
-def parse_canonical(raw: bytes, keys: set[str] | None, what: str) -> dict:
-    """parse_object, and ``raw`` must be its canonical_json: one value, one byte string."""
-    obj = parse_object(raw, keys, what)
+def parse_canonical(raw: bytes) -> dict:
+    """A JSONL record: parse_object, and ``raw`` must be its canonical_json, one value, one byte string."""
+    obj = parse_object(raw, None, "record")
     if canonical_json(obj) != raw:
-        raise ValueError(f"{what} bytes are not in canonical form")
+        raise ValueError("record bytes are not in canonical form")
     return obj
 
 
@@ -157,7 +157,7 @@ def read_records(path: str | Path, from_obj: Callable[[dict], object], error: Ca
             try:
                 if not line:
                     raise ValueError("empty line")
-                records.append(from_obj(parse_canonical(line, None, "record")))
+                records.append(from_obj(parse_canonical(line)))
             except ValueError as exc:
                 raise error(f"line {lineno}: {exc}") from exc
     return records
@@ -165,7 +165,7 @@ def read_records(path: str | Path, from_obj: Callable[[dict], object], error: Ca
 
 def _parses(line: bytes) -> bool:
     try:
-        parse_canonical(line, None, "record")
+        parse_canonical(line)
     except ValueError:
         return False
     return True

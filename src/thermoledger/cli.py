@@ -28,8 +28,8 @@ import click
 
 from . import dagstore, envelope, exchange, ledger, telemetry
 from .canonical import append_records, read_records, replace_file
-from .errors import Error
-from .keys import SigningKey, load_signing_key, load_signing_public, public_key_path, require_address, save_signing_key
+from .errors import Error, InvalidKey
+from .keys import SigningKey, load_signing_key, load_signing_public, public_key_path, require_address, save_signing_key, unpaired_key
 
 DEFAULT_PORT = 9464
 
@@ -63,7 +63,15 @@ class Config:
             raise click.UsageError(f"missing genesis config {self.genesis_path}")
         # pinned to the sealer's public half (mode 0644), so reads never need the private key
         public_path = public_key_path(self.sealer_key_path)
-        authority = load_signing_public(public_path) if public_path.exists() else None
+        if public_path.exists():
+            authority = load_signing_public(public_path)
+        elif self.sealer_key_path.exists():  # a keygen cut off before writing the .pub
+            raise InvalidKey(
+                f"sealer key {self.sealer_key_path} has no {public_path.name} to pin reads to; "
+                f"write it with: keygen --out {self.sealer_key_path}"
+            )
+        else:
+            authority = None
         return ledger.Chain.open(self.chain_path, ledger.load_genesis_config(self.genesis_path), authority, audit)
 
 
@@ -121,12 +129,13 @@ def main(ctx, data_dir: Path, sealer_key: Path | None, offset_c: Decimal):
 def keygen(kind: str, out: Path):
     """Generate a keypair; print the address or fingerprint."""
     out.parent.mkdir(parents=True, exist_ok=True)
+    private = unpaired_key(out, kind)  # a cut-off keygen's key: saving it again writes OUT.pub
     if kind == "signing":
-        key = SigningKey.generate()
+        key = SigningKey.generate() if private is None else SigningKey.from_private_bytes(private)
         save_signing_key(out, key)
         click.echo(key.address)
     else:
-        identity = envelope.Identity.generate()
+        identity = envelope.Identity.generate() if private is None else envelope.Identity.from_private_bytes(private)
         envelope.save_identity(out, identity)
         click.echo(identity.fingerprint)
 

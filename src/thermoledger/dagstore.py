@@ -3,9 +3,19 @@
 Files are split into consecutive 256 KiB chunks; each chunk is a leaf
 node, and files larger than one chunk get a single interior root whose
 links carry the child hash and the child's raw byte size. A node's name
-is the SHA-256 of its canonical encoding, so identical content stores
-identical nodes exactly once, and any byte of corruption is detectable by
+is the SHA-256 of its encoding, so identical content stores identical
+nodes exactly once, and any byte of corruption is detectable by
 rehashing.
+
+Node format version 2 is binary, with one encoding per node:
+
+    leaf      0x02 0x00, then the chunk's raw bytes (0 to 262 144)
+    interior  0x02 0x01, then 2 to 1024 links, each the child's 32-byte
+              SHA-256 digest and its size as an 8-byte big-endian integer
+
+Version 1 was canonical JSON with the leaf data in base64, so every v1
+node starts with ``{`` and none decodes as v2. There is no v1 path: a
+file published under a v1 root must be published again.
 
 Nodes persist under ``objects/<first 2 hex>/<remaining 62 hex>``, mode
 0600. Writes are idempotent and crash-atomic (``canonical.replace_file``),
@@ -15,16 +25,21 @@ object whose bytes no longer hash to its name replaces it.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
-from .canonical import b64, canonical_json, parse_b64, parse_bare_hex64, parse_canonical, parse_uint, replace_file, require_keys, sha256, uint_to_str
+from .canonical import canonical_json  # noqa: F401  uncalled here; perfbench/spans.py wraps this name
+from .canonical import parse_bare_hex64, replace_file, sha256
 from .errors import Error
 
 CHUNK_SIZE = 262_144
 MAX_LINKS = 1024
 MAX_FILE_SIZE = CHUNK_SIZE * MAX_LINKS
+_LEAF = b"\x02\x00"  # version 2, then the node kind
+_INTERIOR = b"\x02\x01"
+_LINK = struct.Struct(">32sQ")  # child digest, child size
 
 
 class ChunkTooLarge(Error):
@@ -57,18 +72,15 @@ class InvalidNode(Error):
 
 @dataclass(frozen=True)
 class Link:
-    """Edge to a child node: empty name, child hash, raw subtree size."""
+    """Edge to a child node: child hash, raw subtree size."""
 
-    name: str
     hash: str
     size: int
 
     def __post_init__(self):
-        if not isinstance(self.name, str):
-            raise ValueError("link name must be a string")
         parse_bare_hex64(self.hash)
-        if not isinstance(self.size, int) or isinstance(self.size, bool) or self.size < 0:
-            raise ValueError("link size must be a non-negative integer")
+        if not isinstance(self.size, int) or isinstance(self.size, bool) or not 0 <= self.size < 1 << 64:
+            raise ValueError("link size must be an integer from 0 to 2**64 - 1")
 
 
 @dataclass(frozen=True)
@@ -98,28 +110,28 @@ class DagNode:
 
 
 def encode_node(node: DagNode) -> bytes:
-    obj = {
-        "data": b64(node.data),
-        "links": [
-            {"name": link.name, "hash": link.hash, "size": uint_to_str(link.size)}
-            for link in node.links
-        ],
-    }
-    return canonical_json(obj)
+    if node.is_leaf:
+        return _LEAF + node.data
+    return _INTERIOR + b"".join(_LINK.pack(bytes.fromhex(link.hash), link.size) for link in node.links)
 
 
 def decode_node(raw: bytes) -> DagNode:
     """Strict inverse of encode_node; ValueError on any deviation."""
-    obj = parse_canonical(raw, {"data", "links"}, "node")
-    if not isinstance(obj["links"], list):
-        raise ValueError("node links must be a list")
-    data = parse_b64(obj["data"], "node data")
-    links = []
-    for entry in obj["links"]:
-        require_keys(entry, {"name", "hash", "size"}, "link")
-        links.append(Link(name=entry["name"], hash=entry["hash"], size=parse_uint(entry["size"])))
+    with memoryview(raw) as view:
+        kind, body = bytes(view[:2]), view[2:]
+        if kind == _LEAF:
+            data, links = bytes(body), ()
+        elif kind == _INTERIOR:
+            if len(body) % _LINK.size:
+                raise ValueError(f"interior node body of {len(body)} bytes is not a whole number of links")
+            links = tuple(Link(digest.hex(), size) for digest, size in _LINK.iter_unpack(body))
+            if not links:  # DagNode would take this for the empty leaf
+                raise ValueError("interior node must have at least 2 links")
+            data = b""
+        else:
+            raise ValueError("not a version 2 leaf or interior node")
     try:
-        return DagNode(data=data, links=tuple(links))
+        return DagNode(data=data, links=links)
     except (InvalidNode, ChunkTooLarge) as exc:
         raise ValueError(str(exc)) from exc
 
@@ -197,8 +209,8 @@ def add_file(store: ObjectStore, content: bytes) -> str:
     """Chunk content into the store; returns the root hash.
 
     Content of at most one chunk becomes a single leaf (so the empty file
-    is one empty leaf). Larger content gets one interior root with an
-    empty-named link per chunk, in order, each carrying the chunk length.
+    is one empty leaf). Larger content gets one interior root with a link
+    per chunk, in order, each carrying the chunk length.
     """
     if len(content) > MAX_FILE_SIZE:
         raise FileTooLarge(f"{len(content)} bytes exceeds the {MAX_FILE_SIZE}-byte cap")
@@ -209,7 +221,7 @@ def add_file(store: ObjectStore, content: bytes) -> str:
     for offset in range(0, len(content), CHUNK_SIZE):
         chunk = content[offset : offset + CHUNK_SIZE]
         hash, _ = store.put(DagNode(data=chunk))
-        links.append(Link(name="", hash=hash, size=len(chunk)))
+        links.append(Link(hash=hash, size=len(chunk)))
     root_hash, _ = store.put(DagNode(links=tuple(links)))
     return root_hash
 

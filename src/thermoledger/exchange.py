@@ -20,8 +20,8 @@ as v2. There is no v1 path: this module is both ends of every connection.
 The server answers requests in order, so the client pipelines: it keeps
 up to WINDOW gets outstanding, from one thread, and reads each reply as
 the answer to its oldest get. The client trusts nothing from the wire: a
-node is stored only after its bytes hash to the requested name and parse
-as a canonical node (an interior one names at most 1024 leaves, the
+node is stored only after its bytes hash to the requested name and decode
+as a version 2 DAG node (an interior one names at most 1024 leaves, the
 256 MiB cap, each with one size), so a corrupt or malicious peer can
 cause a failed fetch but never a corrupt store or an unbounded one. The
 bytes are stored as received, and the decoded nodes are handed back, so
@@ -209,7 +209,7 @@ def fetch_dag(endpoint: tuple[str, int], root: str, store: ObjectStore) -> tuple
     The root comes first, then its missing children, each requested and
     checked once, with up to WINDOW gets outstanding; the connection is
     opened only if some node is missing. Every received node is verified
-    (its bytes must hash to the requested name and parse as a canonical
+    (its bytes must hash to the requested name and decode as a version 2
     node, and a child must be a leaf of its link's size) before its bytes
     are stored as received, so a lying peer aborts the fetch with
     HashMismatch or ProtocolError and leaves the store clean.
@@ -262,7 +262,7 @@ def _receive(conn: _PeerConnection, store: ObjectStore, hash: str, link: Link | 
     except ValueError as exc:
         # hash already verified, so these bytes genuinely are the named
         # object; it just is not a DAG node
-        raise ProtocolError(f"object {hash} is not a canonical node: {exc}") from exc
+        raise ProtocolError(f"object {hash} is not a version 2 DAG node: {exc}") from exc
     except CorruptObject as exc:
         raise ProtocolError(f"child {exc}") from exc
     store.put_raw(hash, raw)

@@ -12,6 +12,7 @@ keys: a JSON object ``{kind, private_key}`` (mode 0600) with a ``PATH.pub``
 companion ``{kind-public, public_key}``, each value 32 bytes of canonical
 0x-hex. Saving goes through ``canonical.create_file``: the private key is
 0600 from its first byte, and a file holding another key is never replaced.
+A save cut off part way is finished by the next ``keygen`` (``unpaired_key``).
 """
 
 from __future__ import annotations
@@ -98,16 +99,37 @@ def verify_signature(public_key: bytes, signature: bytes, payload: bytes) -> boo
 def save_key_pair(path: str | Path, kind: str, private: bytes, public: bytes) -> None:
     """Create the private key file, 0600 from its first byte, and PATH.pub.
 
-    InvalidKey if either file already holds other bytes: a key is never replaced.
+    InvalidKey if either file already holds another key: a key is never
+    replaced. A private key file that holds ``private`` but has no PATH.pub,
+    as a save cut off between the two creates leaves it, is kept as it is.
     """
     path = Path(path)
-    _create_key_file(path, {"kind": kind, "private_key": bytes_to_hex(private)}, 0o600)
+    try:
+        _create_key_file(path, {"kind": kind, "private_key": bytes_to_hex(private)}, 0o600)
+    except InvalidKey:
+        if public_key_path(path).exists() or load_key(path, kind) != private:
+            raise
     _create_key_file(public_key_path(path), {"kind": kind + "-public", "public_key": bytes_to_hex(public)}, 0o666)
 
 
 def public_key_path(path: Path) -> Path:
     """PATH.pub, where the public half of the key file at PATH lives."""
     return path.with_name(path.name + ".pub")
+
+
+def unpaired_key(path: Path, kind: str) -> bytes | None:
+    """The ``kind`` private key at path whose PATH.pub a cut-off save never
+    wrote, so saving it again completes the pair; None if there is none.
+
+    A private key file left empty holds no key: it is removed, and a new key
+    takes its place. With PATH.pub present, nothing here is torn.
+    """
+    if public_key_path(path).exists() or not path.exists():
+        return None
+    if not path.stat().st_size:
+        path.unlink()
+        return None
+    return load_key(path, kind)
 
 
 def _create_key_file(path: Path, obj: dict, mode: int) -> None:

@@ -8,7 +8,6 @@ from unittest import mock
 import pytest
 
 from thermoledger import ledger
-from thermoledger.canonical import canonical_json
 from thermoledger.dagstore import MAX_LINKS, ObjectStore, cat_file
 from thermoledger.exchange import PeerServer, fetch_dag
 from thermoledger.keys import SigningKey
@@ -94,9 +93,9 @@ def sensor_pool(count: int, first_seed: int = 10) -> tuple[SigningKey, ...]:
 
 
 def raw_root(links) -> bytes:
-    """Canonical encoding of an interior node with these (hash, size) links,
-    which DagNode may refuse to build."""
-    return canonical_json({"data": "", "links": [{"name": "", "hash": hash, "size": str(size)} for hash, size in links]})
+    """Version 2 encoding of an interior node with these (hash, size) links,
+    built by hand, which DagNode may refuse to build."""
+    return b"\x02\x01" + b"".join(bytes.fromhex(hash) + size.to_bytes(8, "big") for hash, size in links)
 
 
 def over_cap_root() -> bytes:

@@ -15,7 +15,7 @@ from thermoledger import exchange, ledger
 from thermoledger.cli import main
 from thermoledger.dagstore import DagNode, Link, ObjectStore
 from thermoledger.envelope import decrypt, load_identity
-from thermoledger.keys import SigningKey, load_signing_key
+from thermoledger.keys import SigningKey, load_signing_key, public_key_path
 from thermoledger.telemetry import encode_reading
 
 from .conftest import FIXTURE_CSV, FIXTURE_VALUES, PER_SENSOR_ALLOCATION, bad_ed25519, read_back, seal_by_hand, serve
@@ -173,7 +173,8 @@ class TestChainCommands:
         genesis.write_text(json.dumps(alloc))
         data2 = tmp_path / "data-rotation"
         data2.mkdir()
-        (data2 / "sealer.key").write_bytes((data / "sealer.key").read_bytes())
+        for name in ("sealer.key", "sealer.key.pub"):
+            (data2 / name).write_bytes((data / name).read_bytes())
         run("--data-dir", data2, "init", "--genesis", genesis)
         run(
             "--data-dir", data2, "ingest", "--csv", FIXTURE_CSV, "--to", workspace["bms"],
@@ -266,6 +267,44 @@ class TestChainCommands:
         run("--data-dir", data, "seal")
         run("--data-dir", data, "verify")
 
+    @pytest.mark.parametrize("kind", ["signing", "encryption"])
+    def test_keygen_replaces_a_key_file_left_empty(self, tmp_path, kind):
+        # what a keygen cut off inside its first create leaves: the file, and no key in it
+        out = tmp_path / "k.key"
+        out.touch()
+        printed = run("keygen", "--kind", kind, "--out", out).output.strip()
+        load = {"signing": lambda: load_signing_key(out).address, "encryption": lambda: load_identity(out).fingerprint}[kind]
+        assert printed == load()
+        assert public_key_path(out).is_file()
+
+    @pytest.mark.parametrize("kind", ["signing", "encryption"])
+    def test_keygen_completes_a_missing_public_half(self, tmp_path, kind):
+        # what a keygen cut off between its two creates leaves
+        out = tmp_path / "k.key"
+        printed = run("keygen", "--kind", kind, "--out", out).output
+        private, public = out.read_bytes(), public_key_path(out).read_bytes()
+        public_key_path(out).unlink()
+        assert run("keygen", "--kind", kind, "--out", out).output == printed
+        assert (out.read_bytes(), public_key_path(out).read_bytes()) == (private, public)
+        other = {"signing": "encryption", "encryption": "signing"}[kind]
+        public_key_path(out).unlink()
+        assert run("keygen", "--kind", other, "--out", out, expect=1).stderr.startswith("InvalidKey: ")
+        assert not public_key_path(out).exists()
+        out.write_text(json.dumps(json.loads(private)))  # the same key, laid out by hand
+        assert run("keygen", "--kind", kind, "--out", out).output == printed
+        assert public_key_path(out).read_bytes() == public
+
+    def test_reads_refuse_a_sealer_key_without_its_public_half(self, workspace):
+        data = workspace["data"]
+        (data / "sealer.key.pub").unlink()
+        _reseal_genesis(data)  # unpinned, every read would take this chain
+        for command in (["verify"], ["balance", workspace["bms"]], ["explorer"], ["seal"]):
+            lines = run("--data-dir", data, *command, expect=1).stderr.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("InvalidKey: ")
+            assert f"keygen --out {data / 'sealer.key'}" in lines[0]
+        run("--data-dir", data, "keygen", "--out", data / "sealer.key")
+        assert run("--data-dir", data, "verify", expect=1).stderr.startswith("BadSealerSignature: ")
+
     def test_seal_empty_block(self, workspace):
         result = run("--data-dir", workspace["data"], "seal")
         assert "sealed block 1 with 0 transactions" in result.output
@@ -289,7 +328,8 @@ class TestChainCommands:
         assert run("--data-dir", data, "balance", workspace["bms"]).output == "7\n"
         result = run("--data-dir", data, "verify", expect=1)
         assert result.stderr.startswith("ChainVerificationError: BadSignature at height 1: ")
-        (data / "sealer.key.pub").unlink()  # nothing pinned: reads check every signature too
+        for name in ("sealer.key", "sealer.key.pub"):  # a site without the sealer's key pins nothing,
+            (data / name).unlink()  # so its reads check every signature too
         result = run("--data-dir", data, "balance", workspace["bms"], expect=1)
         assert result.stderr.startswith("ChainVerificationError: BadSignature at height 1: ")
 
@@ -568,7 +608,7 @@ class TestFileCommands:
         run("keygen", "--kind", "encryption", "--out", tmp_path / "r.key")
         store = ObjectStore(tmp_path / "publisher" / "objects")
         leaves = [store.put(DagNode(data=bytes(size)))[0] for size in (1000, 2000)]
-        root, _ = store.put(DagNode(links=tuple(Link(name="", hash=leaf, size=1) for leaf in leaves)))
+        root, _ = store.put(DagNode(links=tuple(Link(hash=leaf, size=1) for leaf in leaves)))
         with serve(store) as server:
             host, port = server.endpoint
             result = runner.invoke(main, [

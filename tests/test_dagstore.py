@@ -26,9 +26,17 @@ from thermoledger.dagstore import (
 
 from .conftest import audit, over_cap_root, raw_root, read_back, stored
 
-# Independently computed: sha256 of {"data":"YWJj","links":[]} built by hand.
+# Node format v1, now refused: canonical JSON with base64 leaf data,
+# built by hand. These goldens are their sha256, kept as fixtures.
+LEAF_ABC_V1 = b'{"data":"YWJj","links":[]}'
+EMPTY_LEAF_V1 = b'{"data":"","links":[]}'
 LEAF_ABC_GOLDEN = "a08d2b75b4d2b2f52e22e412d7f9850f7f70d6169ab76b2fa77e8bcf2f960bce"
 EMPTY_LEAF_GOLDEN = "e4f47f6a23387d8d6f486b1b586c82b9812d238c14f198408c4256c0485e92d4"
+
+# Node format v2: independently computed sha256 of bytes built by hand.
+LEAF_ABC_V2_GOLDEN = "78d2b57330e7fca7060e3dfcdd350c04473a4fc3eae9c9611e30bdee2d401ae7"
+EMPTY_LEAF_V2_GOLDEN = "99be5efb88ca2013bd8e4eb035fd42d5245468fe9afa70d8ba9c1c419a48c4e8"
+INTERIOR_V2_GOLDEN = "ff3baef2c6d41138c5ecc87383c269525606623210582ef63f034fcaf60478ab"
 
 
 @pytest.fixture
@@ -49,17 +57,32 @@ class TestHashNode:
         assert hash_node(DagNode(data=b"abc")) == hash_node(DagNode(data=b"abc"))
 
     def test_leaf_abc_golden(self):
-        assert hash_node(DagNode(data=b"abc")) == LEAF_ABC_GOLDEN
-        # recompute the oracle by hand: canonical JSON with base64 data
-        manual = hashlib.sha256(b'{"data":"YWJj","links":[]}').hexdigest()
-        assert manual == LEAF_ABC_GOLDEN
+        assert hash_node(DagNode(data=b"abc")) == LEAF_ABC_V2_GOLDEN
+        # recompute the oracle by hand: version, leaf kind, raw data
+        assert hashlib.sha256(b"\x02\x00abc").hexdigest() == LEAF_ABC_V2_GOLDEN
 
     def test_empty_leaf_golden(self):
-        assert hash_node(DagNode()) == EMPTY_LEAF_GOLDEN
+        assert hash_node(DagNode()) == EMPTY_LEAF_V2_GOLDEN
+        assert hashlib.sha256(b"\x02\x00").hexdigest() == EMPTY_LEAF_V2_GOLDEN
+
+    def test_interior_golden(self):
+        node = DagNode(links=(Link("aa" * 32, 7), Link("bb" * 32, 9)))
+        manual = b"\x02\x01" + b"\xaa" * 32 + bytes(7) + b"\x07" + b"\xbb" * 32 + bytes(7) + b"\x09"
+        assert encode_node(node) == manual
+        assert hash_node(node) == hashlib.sha256(manual).hexdigest() == INTERIOR_V2_GOLDEN
+
+    @pytest.mark.parametrize("raw, golden", [(LEAF_ABC_V1, LEAF_ABC_GOLDEN), (EMPTY_LEAF_V1, EMPTY_LEAF_GOLDEN)], ids=["abc", "empty"])
+    def test_v1_leaf_refused(self, store, raw, golden):
+        assert hashlib.sha256(raw).hexdigest() == golden
+        with pytest.raises(ValueError, match="not a version 2"):
+            decode_node(raw)
+        store.put_raw(golden, raw)  # a v1 object left in a store
+        with pytest.raises(CorruptObject, match="not a version 2"):
+            store.get(golden)
 
     def test_link_order_changes_hash(self):
-        a = Link("", "aa" * 32, 1)
-        b = Link("", "bb" * 32, 2)
+        a = Link("aa" * 32, 1)
+        b = Link("bb" * 32, 2)
         assert hash_node(DagNode(links=(a, b))) != hash_node(DagNode(links=(b, a)))
 
     def test_oversized_data_rejected(self):
@@ -68,14 +91,14 @@ class TestHashNode:
 
     def test_mixed_node_rejected(self):
         with pytest.raises(InvalidNode):
-            DagNode(data=b"x", links=(Link("", "aa" * 32, 1), Link("", "bb" * 32, 1)))
+            DagNode(data=b"x", links=(Link("aa" * 32, 1), Link("bb" * 32, 1)))
 
     def test_single_link_interior_rejected(self):
         with pytest.raises(InvalidNode):
-            DagNode(links=(Link("", "aa" * 32, 1),))
+            DagNode(links=(Link("aa" * 32, 1),))
 
     def test_interior_node_capped_at_max_links(self):
-        links = tuple(Link("", f"{i:064x}", 1) for i in range(MAX_LINKS + 1))
+        links = tuple(Link(f"{i:064x}", 1) for i in range(MAX_LINKS + 1))
         assert len(DagNode(links=links[:MAX_LINKS]).links) == MAX_LINKS
         with pytest.raises(InvalidNode):
             DagNode(links=links)
@@ -84,9 +107,9 @@ class TestHashNode:
 
     def test_links_naming_one_child_agree_on_its_size(self, store):
         leaf, _ = store.put(DagNode(data=bytes(1000)))
-        DagNode(links=(Link("", leaf, 1000), Link("", leaf, 1000)))  # a repeated chunk
+        DagNode(links=(Link(leaf, 1000), Link(leaf, 1000)))  # a repeated chunk
         with pytest.raises(InvalidNode, match="disagree on its size"):
-            DagNode(links=(Link("", leaf, 1000), Link("", leaf, 5)))
+            DagNode(links=(Link(leaf, 1000), Link(leaf, 5)))
         raw = raw_root([(leaf, 1000), (leaf, 5)])
         with pytest.raises(ValueError, match="disagree on its size"):
             decode_node(raw)
@@ -96,7 +119,7 @@ class TestHashNode:
             store.get(root)
 
     def test_encoding_round_trip(self):
-        node = DagNode(links=(Link("", "aa" * 32, 7), Link("", "bb" * 32, 9)))
+        node = DagNode(links=(Link("aa" * 32, 7), Link("bb" * 32, 9)))
         assert decode_node(encode_node(node)) == node
 
 
@@ -126,7 +149,7 @@ class TestPutGet:
         hash, _ = store.put(DagNode(data=b"precious"))
         victim = tmp_path / "objects" / hash[:2] / hash[2:]
         raw = bytearray(victim.read_bytes())
-        raw[10] ^= 0xFF
+        raw[-1] ^= 0xFF
         victim.write_bytes(bytes(raw))
         with pytest.raises(CorruptObject):
             store.get(hash)
@@ -148,7 +171,7 @@ class TestPutGet:
 class TestAddFile:
     def test_empty_file_single_leaf(self, store):
         root = add_file(store, b"")
-        assert root == EMPTY_LEAF_GOLDEN
+        assert root == EMPTY_LEAF_V2_GOLDEN
         assert len(stored(store)) == 1
         assert read_back(store, root) == b""
 
@@ -174,7 +197,6 @@ class TestAddFile:
         assert [link.size for link in node.links] == [CHUNK_SIZE, CHUNK_SIZE, CHUNK_SIZE, 213_568]
         assert sum(link.size for link in node.links) == 1_000_000
         assert len(stored(store)) == 5
-        assert all(link.name == "" for link in node.links)
 
     def test_file_too_large(self, store):
         with pytest.raises(FileTooLarge):
@@ -212,7 +234,7 @@ class TestCatFile:
 
     def test_link_size_must_match_its_leaf(self, store):
         leaves = [store.put(DagNode(data=_random_bytes(size, seed=size)))[0] for size in (1000, 2000)]
-        root, _ = store.put(DagNode(links=tuple(Link(name="", hash=leaf, size=1) for leaf in leaves)))
+        root, _ = store.put(DagNode(links=tuple(Link(hash=leaf, size=1) for leaf in leaves)))
         assert stat(store, root).total_size == 2
         with pytest.raises(CorruptObject) as excinfo:
             read_back(store, root)

@@ -1,12 +1,13 @@
 """Every record decoder is equally strict and raises its own module's error.
 
-The decoders all go through ``canonical.parse_object`` / ``parse_b64`` /
+The JSON decoders all go through ``canonical.parse_object`` / ``parse_b64`` /
 ``read_records``; these tests feed each one the same hostile variants of a
-valid record, and check that no other module decodes JSON or base64.
+valid record, and check that no other module decodes JSON or base64. DAG
+nodes are binary (node format v2), so their decoder gets a table of hostile
+byte strings of its own, fed to every reader of a node.
 """
 
 import ast
-import base64
 import hashlib
 import json
 from decimal import Decimal
@@ -18,7 +19,7 @@ import pytest
 from thermoledger import cli, dagstore, envelope, exchange, keys, ledger
 from thermoledger.canonical import bytes_to_hex
 
-from .conftest import seeded_key, serve
+from .conftest import over_cap_root, raw_root, seeded_key, serve, stored
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "thermoledger"
 IDENTITY = envelope.Identity.from_private_bytes(bytes([9]) * 32)
@@ -74,7 +75,6 @@ DECODERS = {
         ledger.build_and_sign_tx(seeded_key(2), seeded_key(3).address, 1, 0).to_obj(),
         "signature", _pending_line, click.ClickException,
     ),
-    "node": (json.loads(NODE), "data", _dag_node, dagstore.CorruptObject),
     "envelope": (
         json.loads(envelope.encrypt_for(IDENTITY.public_bytes, b"records")),
         "ciphertext", lambda _, raw: envelope.decrypt(raw, IDENTITY), envelope.MalformedEnvelope,
@@ -109,15 +109,20 @@ HOSTILE = {
 }
 
 
-@pytest.mark.parametrize("decoder", DECODERS)
+# name -> (valid record bytes, decode(tmp_path, raw))
+VALID = {name: (_encode(obj), decode) for name, (obj, _, decode, _) in DECODERS.items()}
+VALID["node"] = (NODE, _dag_node)
+
+
+@pytest.mark.parametrize("decoder", VALID)
 def test_decoder_accepts_valid_record(tmp_path, decoder):
-    obj, _, decode, _ = DECODERS[decoder]
-    decode(tmp_path, _encode(obj))
+    raw, decode = VALID[decoder]
+    decode(tmp_path, raw)
 
 
-# Records this program writes and reads back must be byte-canonical;
+# JSON records this program writes and reads back must be byte-canonical;
 # envelopes and hand-edited key files are checked field by field.
-STORED = ("block", "pending", "node")
+STORED = ("block", "pending")
 
 
 @pytest.mark.parametrize("decoder", STORED)
@@ -150,19 +155,29 @@ def test_chain_line_over_a_cap_is_malformed(tmp_path, field, cap):
         _block_line(tmp_path, _chain_line_with(field, cap + 1))
 
 
-def _link(node: dict, size: int) -> dict:
-    return {"hash": hashlib.sha256(_encode(node)).hexdigest(), "name": "", "size": str(size)}
+def _hash(raw: bytes) -> str:
+    return hashlib.sha256(raw).hexdigest()
 
 
-_LEAF = {"data": base64.b64encode(b"ab").decode(), "links": []}
-_INTERIOR = {"data": "", "links": [_link(_LEAF, 2), _link(_LEAF, 2)]}
+_LEAF = b"\x02\x00ab"
+_INTERIOR = raw_root([(_hash(_LEAF), 2), (_hash(_LEAF), 2)])
 
-# Well-formed node records, the node under test last, whose shape the
-# two-level DAG refuses.
+# Node byte strings built by hand, the node under test last: each is
+# refused, whether a reader finds it in its own store or gets it from a peer.
 INVALID_NODES = {
-    "one-link interior node": [{"data": "", "links": [{"hash": "11" * 32, "name": "", "size": "1"}]}],
-    "leaf over 256 KiB": [{"data": base64.b64encode(bytes(dagstore.CHUNK_SIZE + 1)).decode(), "links": []}],
-    "interior child": [_LEAF, _INTERIOR, {"data": "", "links": [_link(_INTERIOR, 4), _link(_LEAF, 2)]}],
+    "v1 JSON leaf": [b'{"data":"YWJj","links":[]}'],
+    "version 1 byte": [b"\x01\x00ab"],
+    "version 3 byte": [b"\x03\x00ab"],
+    "kind 2 byte": [b"\x02\x02ab"],
+    "version byte alone": [b"\x02"],
+    "no links": [b"\x02\x01"],
+    "one-link interior node": [raw_root([("11" * 32, 1)])],
+    "truncated link": [_INTERIOR[:-1]],
+    "trailing byte": [_INTERIOR + b"\x00"],
+    "1025 links": [over_cap_root()],
+    "links disagree on a size": [_LEAF, raw_root([(_hash(_LEAF), 2), (_hash(_LEAF), 3)])],
+    "leaf over 256 KiB": [b"\x02\x00" + bytes(dagstore.CHUNK_SIZE + 1)],
+    "interior child": [_LEAF, _INTERIOR, raw_root([(_hash(_INTERIOR), 4), (_hash(_LEAF), 2)])],
 }
 
 
@@ -173,23 +188,26 @@ def _fetch(store, hash, tmp_path):
 
 # name -> (read(store, hash, tmp_path), expected error)
 NODE_READERS = {
+    "decode_node": (lambda store, hash, _: dagstore.decode_node(store.get_bytes(hash)), ValueError),
     "get": (lambda store, hash, _: store.get(hash), dagstore.CorruptObject),
     "fetch_dag": (_fetch, exchange.ProtocolError),
 }
 
 
-# (reader, node): DagNode refuses the first two shapes on their own; an
-# interior child is a valid node, wrong only in its place in a DAG.
-SHAPE_CASES = [(reader, node) for reader in NODE_READERS for node in ("one-link interior node", "leaf over 256 KiB")]
+# (reader, node): an interior child is a valid node, wrong only in its
+# place in a DAG, so only fetch_dag, which reads the DAG, refuses it.
+SHAPE_CASES = [(reader, node) for reader in NODE_READERS for node in INVALID_NODES if node != "interior child"]
 SHAPE_CASES.append(("fetch_dag", "interior child"))
 
 
 @pytest.mark.parametrize("reader, node", SHAPE_CASES, ids=[f"{reader}-{node}" for reader, node in SHAPE_CASES])
 def test_node_readers_reject_invalid_shape(tmp_path, reader, node):
-    store, hash = _store_raw(tmp_path, *map(_encode, INVALID_NODES[node]))
+    store, hash = _store_raw(tmp_path, *INVALID_NODES[node])
     read, error = NODE_READERS[reader]
     with pytest.raises(error):
         read(store, hash, tmp_path)
+    if reader == "fetch_dag":  # a refused node is never stored; the interior child's root is valid
+        assert stored(dagstore.ObjectStore(tmp_path / "fetched")) == ({hash} if node == "interior child" else set())
 
 
 # Record decoding belongs to canonical.py alone.

@@ -81,6 +81,9 @@ def _v1_reply(raw):
     return json.dumps(message, separators=(",", ":")).encode()
 
 
+# a leaf in node format v1, which version 2 refuses: canonical JSON with base64 data
+_V1_NODE = b'{"data":"YWJj","links":[]}'
+
 # the get a version 1 client sent
 _V1_GET = json.dumps({"hash": "11" * 32, "type": "get"}, separators=(",", ":")).encode()
 
@@ -390,7 +393,7 @@ class TestFetchDag:
 
     def test_links_that_understate_their_leaves_refused_before_storing(self, remote, local):
         leaves = [remote.put(DagNode(data=bytes(size)))[0] for size in (1000, 2000)]
-        root, _ = remote.put(DagNode(links=tuple(Link(name="", hash=leaf, size=1) for leaf in leaves)))
+        root, _ = remote.put(DagNode(links=tuple(Link(hash=leaf, size=1) for leaf in leaves)))
         with serve(remote) as server:
             with pytest.raises(ProtocolError, match=f"child {leaves[0]}: leaf holds 1000 bytes, its link says 1"):
                 fetch_dag(server.endpoint, root, local)
@@ -398,7 +401,7 @@ class TestFetchDag:
 
     def test_local_leaves_that_overstate_their_links_refused(self, remote, local):
         leaves = [local.put(DagNode(data=bytes(size)))[0] for size in (1000, 2000)]
-        root, _ = remote.put(DagNode(links=tuple(Link(name="", hash=leaf, size=1) for leaf in leaves)))
+        root, _ = remote.put(DagNode(links=tuple(Link(hash=leaf, size=1) for leaf in leaves)))
         with serve(remote) as server:
             with pytest.raises(CorruptObject, match=f"{leaves[0]}: leaf holds 1000 bytes, its link says 1"):
                 fetch_dag(server.endpoint, root, local)
@@ -410,7 +413,7 @@ class TestFetchDag:
         root = hashlib.sha256(raw).hexdigest()
         remote.put_raw(root, raw)
         with serve(remote) as server:
-            with pytest.raises(ProtocolError, match="not a canonical node: links that name one child disagree"):
+            with pytest.raises(ProtocolError, match="not a version 2 DAG node: links that name one child disagree"):
                 fetch_dag(server.endpoint, root, local)
         assert stored(local) == set()
 
@@ -419,6 +422,12 @@ class TestFetchDag:
         raw = raw_root([(leaf, 1000), (leaf, 5)])
         root = hashlib.sha256(raw).hexdigest()
         local.put_raw(root, raw)
+        with pytest.raises(ConnectionLost):  # not taken as stored: the peer, down here, is asked
+            fetch_dag(("127.0.0.1", 1), root, local)
+
+    def test_local_v1_node_is_fetched_again(self, local):
+        root = hashlib.sha256(_V1_NODE).hexdigest()
+        local.put_raw(root, _V1_NODE)
         with pytest.raises(ConnectionLost):  # not taken as stored: the peer, down here, is asked
             fetch_dag(("127.0.0.1", 1), root, local)
 
@@ -475,7 +484,7 @@ class TestFetchDag:
         raw = over_cap_root()
         root = hashlib.sha256(raw).hexdigest()
         with _CountingPeer(SimpleNamespace(get_bytes={root: raw}.__getitem__)) as peer:
-            with pytest.raises(ProtocolError, match="not a canonical node"):
+            with pytest.raises(ProtocolError, match="not a version 2 DAG node: interior node has 1025 links"):
                 fetch_dag(peer.endpoint, root, local)
         assert peer.requested == [root]
         assert stored(local) == set()
