@@ -11,8 +11,10 @@ be bit-exact across runs, platforms, and languages:
 Parsing is strict: anything that is not the unique canonical rendering of
 its value (uppercase hex, leading zeros, stray signs, loose base64) is
 rejected, so a stored encoding can always be reproduced byte-for-byte from
-its parse. Every record decoder goes through here and raises ValueError,
-which each caller maps to its own exception type.
+its parse. Every JSON and base64 decode goes through here and raises
+ValueError, which each caller maps to its own exception type. The one
+exception is the envelope's fixed layout, which ``envelope`` matches
+itself; it still decodes each base64 field with ``parse_b64``.
 
 Every file the program keeps is written here too, by ``create_file``
 (exclusive), ``append_records`` (the lines ``read_records`` reads) or
@@ -33,7 +35,7 @@ _UINT_RE = re.compile(r"0|[1-9][0-9]*")
 _HEX_RE = re.compile(r"0x(?:[0-9a-f][0-9a-f])*")
 _BARE_HEX64_RE = re.compile(r"[0-9a-f]{64}")
 # last 4-char quantum of canonical base64: the bits that padding drops are zero
-_B64_TAIL_RE = re.compile(r"[A-Za-z0-9+/](?:[A-Za-z0-9+/]{3}|[A-Za-z0-9+/][AEIMQUYcgkosw048]=|[AQgw]==)")
+_B64_TAIL_RE = re.compile(rb"[A-Za-z0-9+/](?:[A-Za-z0-9+/]{3}|[A-Za-z0-9+/][AEIMQUYcgkosw048]=|[AQgw]==)")
 
 
 def canonical_json(obj) -> bytes:
@@ -126,21 +128,17 @@ def parse_canonical(raw: bytes) -> dict:
     return obj
 
 
-def b64(data: bytes) -> str:
-    return base64.b64encode(data).decode("ascii")
-
-
-def parse_b64(text: str, what: str) -> bytes:
-    """Decode canonical base64 only (RFC 4648 section 3.5).
+def parse_b64(data: bytes, what: str) -> bytes:
+    """Decode canonical base64 bytes only (RFC 4648 section 3.5).
 
     The strict decoder still takes excess padding (``AAAA====``) and nonzero
     dropped bits (``AB==``); the length and last-quantum checks reject both
     in O(1), without re-encoding the field.
     """
-    if not isinstance(text, str) or len(text) % 4 or (text and not _B64_TAIL_RE.fullmatch(text, len(text) - 4)):
+    if not isinstance(data, bytes) or len(data) % 4 or (data and not _B64_TAIL_RE.fullmatch(data, len(data) - 4)):
         raise ValueError(f"{what} is not canonical base64")
     try:
-        return base64.b64decode(text, validate=True)
+        return base64.b64decode(data, validate=True)
     except ValueError as exc:
         raise ValueError(f"{what} is not canonical base64: {exc}") from exc
 

@@ -274,6 +274,9 @@ def file():
 @click.pass_obj
 def publish(config: Config, in_path: Path, recipient: Path):
     """Encrypt a file for one recipient and store it; print the root hash."""
+    size, cap = in_path.stat().st_size, envelope.max_plaintext(dagstore.MAX_FILE_SIZE)
+    if size > cap:  # refused before the file is read, encrypted and encoded
+        raise dagstore.FileTooLarge(f"{in_path} is {size} bytes; the largest publishable file is {cap} bytes")
     store = dagstore.ObjectStore(config.objects_dir)
     sealed = envelope.encrypt_for(envelope.load_recipient_public(recipient), in_path.read_bytes())
     root = dagstore.add_file(store, sealed)

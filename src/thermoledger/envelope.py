@@ -5,17 +5,27 @@ is wrapped for exactly one recipient via X25519 key agreement with an
 ephemeral key and HKDF-SHA256. Envelope version 1 pins this suite
 (X25519 + HKDF-SHA256 + AES-256-GCM); future suites bump the version.
 
-A serialized envelope is canonical JSON with base64 byte fields, keyed
-{version, recipient_fingerprint, wrapped_key, nonce, ciphertext}. The
-wrapped_key field packs ephemeral public key (32) || wrap nonce (12) ||
-wrapped file key (48). Possessing envelope bytes without the recipient's
-private key yields nothing: both GCM layers authenticate, so tampering or
-a wrong key fails loudly instead of decrypting to garbage.
+A serialized envelope is the canonical JSON object, with base64 byte
+fields, keyed {ciphertext, nonce, recipient_fingerprint, version,
+wrapped_key}. No base64 or hex value needs a JSON escape, so that
+object has exactly one spelling, and this module writes and reads it
+directly, with no JSON pass over the ciphertext:
+
+    {"ciphertext":"<b64>","nonce":"<b64>","recipient_fingerprint":"<64 hex>","version":"1","wrapped_key":"<b64>"}
+
+Any other spelling of the same object (spaces, another key order, an
+escape) is refused, so one file has one envelope. The wrapped_key field
+packs ephemeral public key (32) || wrap nonce (12) || wrapped file key
+(48). Possessing envelope bytes without the recipient's private key
+yields nothing: both GCM layers authenticate, so tampering or a wrong key
+fails loudly instead of decrypting to garbage.
 """
 
 from __future__ import annotations
 
+import base64
 import os
+import re
 from pathlib import Path
 
 from cryptography.exceptions import InvalidTag
@@ -27,7 +37,8 @@ from cryptography.hazmat.primitives.asymmetric.x25519 import (
 from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 
-from .canonical import b64, canonical_json, parse_b64, parse_bare_hex64, parse_object, sha256
+from .canonical import canonical_json  # noqa: F401  uncalled here; perfbench/spans.py wraps this name
+from .canonical import parse_b64, parse_bare_hex64, sha256
 from .errors import Error, InvalidKey
 from .keys import load_key, save_key_pair
 
@@ -36,7 +47,14 @@ _KEY_SIZE = 32
 _NONCE_SIZE = 12
 _WRAPPED_KEY_SIZE = 32 + _NONCE_SIZE + _KEY_SIZE + 16  # eph pub || nonce || key+tag
 _HKDF_INFO = b"thermoledger envelope v1"
-_B64_FIELDS = ("wrapped_key", "nonce", "ciphertext")
+_PREFIX = b'{"ciphertext":"'
+_STRING = rb'[ !#-\[\]-~]*'  # printable ASCII but '"' and '\': a JSON string that needs no escape
+_STRING_RE = re.compile(_STRING)
+_TAIL_RE = re.compile(  # everything after the ciphertext
+    rb'","nonce":"(%s)","recipient_fingerprint":"(%s)","version":"(%s)","wrapped_key":"(%s)"}' % ((_STRING,) * 4)
+)
+_NOT_CANONICAL = "envelope is not in canonical form"
+_OVERHEAD = 290  # the layout's bytes but the ciphertext's base64
 
 
 class WrongRecipient(Error):
@@ -114,7 +132,7 @@ def encrypt_for(recipient_public_key: bytes, plaintext: bytes) -> bytes:
 
     file_key = os.urandom(_KEY_SIZE)
     nonce = os.urandom(_NONCE_SIZE)
-    ciphertext = AESGCM(file_key).encrypt(nonce, plaintext, None)
+    ciphertext = base64.b64encode(AESGCM(file_key).encrypt(nonce, plaintext, None))
 
     ephemeral = X25519PrivateKey.generate()
     ephemeral_public = ephemeral.public_key().public_bytes(
@@ -124,14 +142,19 @@ def encrypt_for(recipient_public_key: bytes, plaintext: bytes) -> bytes:
     wrap_nonce = os.urandom(_NONCE_SIZE)
     wrapped = AESGCM(wrap_key).encrypt(wrap_nonce, file_key, None)
 
-    obj = {
-        "version": str(VERSION),
-        "recipient_fingerprint": recipient_fingerprint,
-        "wrapped_key": b64(ephemeral_public + wrap_nonce + wrapped),
-        "nonce": b64(nonce),
-        "ciphertext": b64(ciphertext),
-    }
-    return canonical_json(obj)
+    return b"".join((
+        _PREFIX, ciphertext,
+        b'","nonce":"', base64.b64encode(nonce),
+        b'","recipient_fingerprint":"', recipient_fingerprint.encode("ascii"),
+        b'","version":"%d","wrapped_key":"' % VERSION, base64.b64encode(ephemeral_public + wrap_nonce + wrapped),
+        b'"}',
+    ))
+
+
+def max_plaintext(envelope_size: int) -> int:
+    """The largest plaintext whose envelope fits in ``envelope_size`` bytes: the
+    ciphertext (plaintext and 16-byte tag) takes 4 base64 bytes per 3."""
+    return (envelope_size - _OVERHEAD) // 4 * 3 - 16
 
 
 def decrypt(envelope: bytes, identity: Identity) -> bytes:
@@ -141,12 +164,9 @@ def decrypt(envelope: bytes, identity: Identity) -> bytes:
     not match, AuthenticationFailed on any integrity failure, and
     MalformedEnvelope if the bytes do not parse.
     """
-    obj = _parse_envelope(envelope)
-    if obj["recipient_fingerprint"] != identity.fingerprint:
-        raise WrongRecipient(
-            f"envelope is for {obj['recipient_fingerprint'][:16]}..., identity is {identity.fingerprint[:16]}..."
-        )
-    wrapped_key = obj["wrapped_key"]
+    recipient, wrapped_key, nonce, ciphertext = _parse_envelope(envelope)
+    if recipient != identity.fingerprint:
+        raise WrongRecipient(f"envelope is for {recipient[:16]}..., identity is {identity.fingerprint[:16]}...")
     ephemeral_public = wrapped_key[:32]
     wrap_nonce = wrapped_key[32 : 32 + _NONCE_SIZE]
     wrapped = wrapped_key[32 + _NONCE_SIZE :]
@@ -154,28 +174,39 @@ def decrypt(envelope: bytes, identity: Identity) -> bytes:
         shared = identity._exchange(ephemeral_public)
         wrap_key = _derive_wrap_key(shared, ephemeral_public, identity.public_bytes)
         file_key = AESGCM(wrap_key).decrypt(wrap_nonce, wrapped, None)
-        return AESGCM(file_key).decrypt(obj["nonce"], obj["ciphertext"], None)
+        return AESGCM(file_key).decrypt(nonce, ciphertext, None)
     except (InvalidTag, ValueError) as exc:
         raise AuthenticationFailed(f"envelope failed to decrypt: {exc}") from exc
 
 
-def _parse_envelope(envelope: bytes) -> dict:
+def _parse_envelope(envelope: bytes) -> tuple[str, bytes, bytes, bytes]:
+    """(recipient_fingerprint, wrapped_key, nonce, ciphertext) from the one
+    canonical spelling: the prefix, the ciphertext up to its closing quote,
+    then the short tail."""
+    end = envelope.find(b'"', len(_PREFIX)) if envelope.startswith(_PREFIX) else -1
+    tail = _TAIL_RE.fullmatch(envelope, end) if end >= 0 else None
+    if tail is None:
+        raise MalformedEnvelope(_NOT_CANONICAL)
+    ciphertext = envelope[len(_PREFIX) : end]
+    nonce, recipient, version, wrapped_key = tail.groups()
     try:
-        obj = parse_object(envelope, {"version", "recipient_fingerprint", *_B64_FIELDS}, "envelope")
-        if obj["version"] != str(VERSION):
-            raise ValueError(f"unsupported envelope version: {obj['version']!r}")
-        parse_bare_hex64(obj["recipient_fingerprint"])
+        if version != b"%d" % VERSION:
+            raise ValueError(f"unsupported envelope version: {version.decode('ascii')!r}")
+        recipient = parse_bare_hex64(recipient.decode("ascii"))
         # only the canonical spelling decodes, so a mutated field never
         # decodes to the original bytes
-        for field in _B64_FIELDS:
-            obj[field] = parse_b64(obj[field], field)
+        wrapped_key = parse_b64(wrapped_key, "wrapped_key")
+        nonce = parse_b64(nonce, "nonce")
+        ciphertext = parse_b64(ciphertext, "ciphertext")
     except ValueError as exc:
+        if not _STRING_RE.fullmatch(ciphertext):  # an escape, or a byte that needs one
+            raise MalformedEnvelope(_NOT_CANONICAL) from None
         raise MalformedEnvelope(str(exc)) from exc
-    if len(obj["wrapped_key"]) != _WRAPPED_KEY_SIZE:
+    if len(wrapped_key) != _WRAPPED_KEY_SIZE:
         raise MalformedEnvelope(f"wrapped_key must be {_WRAPPED_KEY_SIZE} bytes")
-    if len(obj["nonce"]) != _NONCE_SIZE:
+    if len(nonce) != _NONCE_SIZE:
         raise MalformedEnvelope(f"nonce must be {_NONCE_SIZE} bytes")
-    return obj
+    return recipient, wrapped_key, nonce, ciphertext
 
 
 # --- key file storage -------------------------------------------------------

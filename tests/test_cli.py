@@ -11,7 +11,7 @@ from unittest import mock
 import pytest
 from click.testing import CliRunner
 
-from thermoledger import exchange, ledger
+from thermoledger import dagstore, envelope, exchange, ledger
 from thermoledger.cli import main
 from thermoledger.dagstore import DagNode, Link, ObjectStore
 from thermoledger.envelope import decrypt, load_identity
@@ -572,6 +572,18 @@ class TestFileCommands:
         assert result.output.startswith("fetched 5 nodes,")
         stored = read_back(ObjectStore(fetcher / "objects"), root)
         assert decrypt(stored, load_identity(tmp_path / "recipient.key")) == out_file.read_bytes() == payload.read_bytes()
+
+    def test_publish_refuses_a_file_too_large_before_reading_it(self, tmp_path, monkeypatch):
+        run("keygen", "--kind", "encryption", "--out", tmp_path / "recipient.key")
+        monkeypatch.setattr(dagstore, "MAX_FILE_SIZE", 446)  # the envelope of a 101-byte file, exactly
+        payload = tmp_path / "in.bin"
+        args = ["--data-dir", tmp_path / "publisher", "file", "publish", "--in", payload, "--recipient", tmp_path / "recipient.key.pub"]
+        payload.write_bytes(bytes(101))
+        run(*args)
+        payload.write_bytes(bytes(102))
+        with mock.patch.object(envelope, "encrypt_for", side_effect=AssertionError("the file was encrypted")):
+            lines = run(*args, expect=1).stderr.splitlines()
+        assert lines == [f"FileTooLarge: {payload} is 102 bytes; the largest publishable file is 101 bytes"]
 
     def test_fetch_with_wrong_identity_fails(self, tmp_path):
         publisher = tmp_path / "publisher"

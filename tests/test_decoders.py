@@ -1,10 +1,11 @@
 """Every record decoder is equally strict and raises its own module's error.
 
-The JSON decoders all go through ``canonical.parse_object`` / ``parse_b64`` /
-``read_records``; these tests feed each one the same hostile variants of a
-valid record, and check that no other module decodes JSON or base64. DAG
-nodes are binary (node format v2), so their decoder gets a table of hostile
-byte strings of its own, fed to every reader of a node.
+The JSON decoders go through ``canonical.parse_object`` / ``read_records``,
+and the envelope matches its one fixed layout; every base64 field goes
+through ``canonical.parse_b64``. These tests feed each decoder the same
+hostile variants of a valid record, and check that no other module decodes
+JSON or base64. DAG nodes are binary (node format v2), so their decoder gets
+a table of hostile byte strings of its own, fed to every reader of a node.
 """
 
 import ast
@@ -121,8 +122,8 @@ def test_decoder_accepts_valid_record(tmp_path, decoder):
 
 
 # JSON records this program writes and reads back must be byte-canonical;
-# envelopes and hand-edited key files are checked field by field.
-STORED = ("block", "pending")
+# hand-edited key files are checked field by field.
+STORED = ("block", "pending", "envelope")
 
 
 @pytest.mark.parametrize("decoder", STORED)
@@ -131,6 +132,29 @@ def test_stored_record_must_be_canonical_bytes(tmp_path, decoder):
     spaced = json.dumps(obj, sort_keys=True, separators=(", ", ":")).encode("ascii")
     with pytest.raises(error, match="not in canonical form"):
         decode(tmp_path, spaced)
+
+
+def _escaped(obj, field):
+    """The field's first character written as a JSON escape, as \\u0041 is A."""
+    first = obj[field][0]
+    return _encode(obj).replace(b'"%s":"%s' % (field.encode(), first.encode()), b'"%s":"\\u%04x' % (field.encode(), ord(first)), 1)
+
+
+# name -> another spelling of a valid record, which a JSON parser reads as the same object
+RESPELLED = {
+    "reordered keys": lambda obj, field: json.dumps(dict(reversed(obj.items())), separators=(",", ":")).encode("ascii"),
+    "escaped character": _escaped,
+}
+
+
+@pytest.mark.parametrize("spelling", RESPELLED)
+@pytest.mark.parametrize("decoder", STORED)
+def test_stored_record_has_one_spelling(tmp_path, decoder, spelling):
+    obj, field, decode, error = DECODERS[decoder]
+    raw = RESPELLED[spelling](obj, field)
+    assert json.loads(raw) == obj and raw != _encode(obj)
+    with pytest.raises(error, match="not in canonical form"):
+        decode(tmp_path, raw)
 
 
 @pytest.mark.parametrize("hostile", HOSTILE)

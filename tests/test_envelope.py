@@ -1,10 +1,14 @@
+import hashlib
 import json
+import os
 import random
 
 import pytest
-from hypothesis import given, settings
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from thermoledger.canonical import canonical_json
 from thermoledger.dagstore import ObjectStore, add_file
 from thermoledger.envelope import (
     AuthenticationFailed,
@@ -16,6 +20,7 @@ from thermoledger.envelope import (
     fingerprint,
     load_identity,
     load_recipient_public,
+    max_plaintext,
     save_identity,
 )
 from thermoledger.errors import InvalidKey
@@ -50,6 +55,11 @@ class TestIdentity:
             encrypt_for(b"\x00" * 31, b"data")
 
 
+# sha256 of test_golden_envelope's envelope, pinned while envelopes were
+# still written by canonical_json: the direct writer must not move a byte
+GOLDEN_ENVELOPE_SHA256 = "4afac839ff182b2f5af14ecca05316a52bbf8c3e0de820a2f86d067e8f74e5bd"
+
+
 class TestRoundTrip:
     def test_fixture_file_round_trip(self, recipient):
         plaintext = FIXTURE_CSV.read_bytes()
@@ -65,11 +75,29 @@ class TestRoundTrip:
         plaintext = random.Random(size).randbytes(size)
         assert decrypt(encrypt_for(recipient.public_bytes, plaintext), recipient) == plaintext
 
+    # a ciphertext of n + 16 bytes: n = 0, 1, 2 give each base64 remainder
     @settings(max_examples=25, deadline=None)
     @given(st.binary(max_size=4096))
+    @example(b"")
+    @example(b"x")
+    @example(b"xy")
     def test_round_trip_property(self, content):
         identity = Identity.from_private_bytes(b"\x07" * 32)
-        assert decrypt(encrypt_for(identity.public_bytes, content), identity) == content
+        sealed = encrypt_for(identity.public_bytes, content)
+        assert decrypt(sealed, identity) == content
+        assert sealed == canonical_json(json.loads(sealed))  # the one canonical spelling
+        # the envelope's size is exact, so max_plaintext is its inverse
+        assert max_plaintext(len(sealed)) >= len(content) > max_plaintext(len(sealed) - 1)
+
+    def test_golden_envelope(self, monkeypatch):
+        draws = iter([bytes([1]) * 32, bytes([2]) * 12, bytes([3]) * 12])  # file key, nonce, wrap nonce
+        monkeypatch.setattr(os, "urandom", lambda n: next(draws))
+        ephemeral = X25519PrivateKey.from_private_bytes(bytes([4]) * 32)
+        monkeypatch.setattr(X25519PrivateKey, "generate", staticmethod(lambda: ephemeral))
+        recipient = Identity.from_private_bytes(bytes([9]) * 32)
+        sealed = encrypt_for(recipient.public_bytes, b"golden readings")
+        assert hashlib.sha256(sealed).hexdigest() == GOLDEN_ENVELOPE_SHA256
+        assert decrypt(sealed, recipient) == b"golden readings"
 
     def test_fresh_randomness_per_call(self, recipient):
         sealed_a = encrypt_for(recipient.public_bytes, b"same plaintext")
@@ -118,10 +146,9 @@ class TestDecryptErrors:
 
     def test_unsupported_version(self, recipient):
         sealed = encrypt_for(recipient.public_bytes, b"v")
-        obj = json.loads(sealed)
-        obj["version"] = "2"
-        with pytest.raises(MalformedEnvelope):
-            decrypt(json.dumps(obj).encode(), recipient)
+        assert sealed.count(b'"version":"1"') == 1
+        with pytest.raises(MalformedEnvelope, match="unsupported envelope version: '2'"):
+            decrypt(sealed.replace(b'"version":"1"', b'"version":"2"'), recipient)
 
 
 class TestDoubleProtection:
