@@ -19,17 +19,22 @@ itself; it still decodes each base64 field with ``parse_b64``.
 Every file the program keeps is written here too, by ``create_file``
 (exclusive), ``append_records`` (the lines ``read_records`` reads) or
 ``replace_file`` (a sibling renamed over the target: old bytes or new).
+``write_lock`` is the one writer's lock on a site, a POSIX ``flock``.
 """
 
 from __future__ import annotations
 
 import base64
+import fcntl
 import hashlib
 import json
 import os
 import re
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
+
+from .errors import Error
 
 _UINT_RE = re.compile(r"0|[1-9][0-9]*")
 _HEX_RE = re.compile(r"0x(?:[0-9a-f][0-9a-f])*")
@@ -208,3 +213,23 @@ def replace_file(path: str | Path, data: bytes, mode: int) -> None:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+class SiteBusy(Error):
+    """Another command holds the site's write lock."""
+
+
+@contextmanager
+def write_lock(path: str | Path) -> Iterator[None]:
+    """Hold an exclusive ``flock`` on ``path`` (created empty if missing) for the block;
+    SiteBusy at once if another holder has it. ``flock`` belongs to the open file, not the
+    process, so two opens in one process exclude each other too; closing releases it."""
+    fd = os.open(path, os.O_RDWR | os.O_CREAT, 0o666)
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise SiteBusy(f"{path} is held by another init, ingest or seal; run this again when it ends") from None
+        yield
+    finally:
+        os.close(fd)

@@ -8,6 +8,7 @@ between two machines. State lives under one data directory (flag
     chain.jsonl    append-only chain, one canonical-JSON block per line
     genesis.json   address -> decimal balance allocation
     pending.jsonl  transactions queued by ``ingest --no-seal``
+    write.lock     held by ``init``, ``ingest`` and ``seal`` while they run
     objects/       content-addressed object store
 
 Exit codes: 0 success, 1 verification or validation failure, 2 usage
@@ -20,6 +21,7 @@ import csv as csv_mod
 import io
 import re
 import sys
+from contextlib import AbstractContextManager
 from dataclasses import dataclass
 from decimal import Decimal
 from pathlib import Path
@@ -27,7 +29,7 @@ from pathlib import Path
 import click
 
 from . import dagstore, envelope, exchange, ledger, telemetry
-from .canonical import append_records, read_records, replace_file
+from .canonical import append_records, parse_bare_hex64, read_records, replace_file, write_lock
 from .errors import Error, InvalidKey
 from .keys import SigningKey, load_signing_key, load_signing_public, public_key_path, require_address, save_signing_key, unpaired_key
 
@@ -55,6 +57,11 @@ class Config:
     @property
     def objects_dir(self) -> Path:
         return self.data_dir / "objects"
+
+    def lock(self) -> AbstractContextManager[None]:
+        """The site's one-writer lock, which init, ingest and seal take before they read the chain."""
+        self.data_dir.mkdir(parents=True, exist_ok=True)
+        return write_lock(self.data_dir / "write.lock")
 
     def open_chain(self, audit: bool) -> ledger.Chain:
         if not self.chain_path.exists():
@@ -90,6 +97,13 @@ class _Main(click.Group):
 def _parse_offset(ctx, param, value: str) -> Decimal:
     try:
         return telemetry.require_offset(telemetry.parse_temperature(value))
+    except ValueError as exc:
+        raise click.BadParameter(str(exc))
+
+
+def _parse_root(ctx, param, value: str) -> str:
+    try:
+        return parse_bare_hex64(value)
     except ValueError as exc:
         raise click.BadParameter(str(exc))
 
@@ -145,17 +159,17 @@ def keygen(kind: str, out: Path):
 @click.pass_obj
 def init(config: Config, genesis_file: Path):
     """Create a new chain from a genesis allocation file."""
-    if config.chain_path.exists() and ledger.load_chain(config.chain_path):
-        raise click.ClickException(f"chain already exists at {config.chain_path}")
-    if not config.sealer_key_path.exists():
-        raise click.UsageError(
-            f"sealer key not found at {config.sealer_key_path}; create one with: keygen --out {config.sealer_key_path}"
-        )
-    alloc = ledger.load_genesis_config(genesis_file)
-    sealer = load_signing_key(config.sealer_key_path)
-    config.data_dir.mkdir(parents=True, exist_ok=True)
-    replace_file(config.genesis_path, genesis_file.read_bytes(), 0o666)
-    chain = ledger.Chain.create(alloc, sealer, config.chain_path)
+    with config.lock():
+        if config.chain_path.exists() and ledger.load_chain(config.chain_path):
+            raise click.ClickException(f"chain already exists at {config.chain_path}")
+        if not config.sealer_key_path.exists():
+            raise click.UsageError(
+                f"sealer key not found at {config.sealer_key_path}; create one with: keygen --out {config.sealer_key_path}"
+            )
+        alloc = ledger.load_genesis_config(genesis_file)
+        sealer = load_signing_key(config.sealer_key_path)
+        replace_file(config.genesis_path, genesis_file.read_bytes(), 0o666)
+        chain = ledger.Chain.create(alloc, sealer, config.chain_path)
     click.echo(f"genesis {chain.head.block_hash.hex()} sealer {sealer.address}")
 
 
@@ -169,34 +183,36 @@ def init(config: Config, genesis_file: Path):
 def ingest(config: Config, csv_file: Path, receiver: str, rotate_every: int | None, sender_keys: tuple[Path, ...], no_seal: bool):
     """Ingest a temperature CSV: queue it, then seal the whole queue as one block."""
     receiver = _address_arg(receiver)
-    chain = config.open_chain(audit=False)
-    readings = telemetry.ingest_csv(csv_file)
-    pool = tuple(load_signing_key(path) for path in sender_keys)
-    try:
-        rotation = telemetry.RotationPolicy("never" if rotate_every is None else rotate_every, pool)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    queued = _queued(config, chain)
-    txs = telemetry.pump(
-        readings,
-        rotation,
-        receiver,
-        chain.state_after(queued),  # nonces continue after the queue
-        offset_c=config.offset_c,
-    )
-    if no_seal:
-        append_records(config.pending_path, [tx.to_obj() for tx in txs])
-        click.echo(f"queued {len(txs)} transactions in {config.pending_path}")
-        return
-    _seal(config, chain, queued + txs)
+    with config.lock():
+        chain = config.open_chain(audit=False)
+        readings = telemetry.ingest_csv(csv_file)
+        pool = tuple(load_signing_key(path) for path in sender_keys)
+        try:
+            rotation = telemetry.RotationPolicy("never" if rotate_every is None else rotate_every, pool)
+        except ValueError as exc:
+            raise click.UsageError(str(exc))
+        queued = _queued(config, chain)
+        txs = telemetry.pump(
+            readings,
+            rotation,
+            receiver,
+            chain.state_after(queued),  # nonces continue after the queue
+            offset_c=config.offset_c,
+        )
+        if no_seal:
+            append_records(config.pending_path, [tx.to_obj() for tx in txs])
+            click.echo(f"queued {len(txs)} transactions in {config.pending_path}")
+            return
+        _seal(config, chain, queued + txs)
 
 
 @main.command()
 @click.pass_obj
 def seal(config: Config):
     """Seal queued pending transactions (an empty queue seals an empty block)."""
-    chain = config.open_chain(audit=False)
-    _seal(config, chain, _queued(config, chain))
+    with config.lock():
+        chain = config.open_chain(audit=False)
+        _seal(config, chain, _queued(config, chain))
 
 
 def _seal(config: Config, chain: ledger.Chain, txs: list[ledger.Transaction]) -> None:
@@ -284,7 +300,7 @@ def publish(config: Config, in_path: Path, recipient: Path):
 
 
 @file.command()
-@click.option("--root", required=True)
+@click.option("--root", required=True, callback=_parse_root)
 @click.option("--from", "peer", required=True, help="Peer to fetch from, host:port.")
 @click.option("--identity", "identity_path", required=True, type=click.Path(path_type=Path), help="Recipient's private encryption key file.")
 @click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False, path_type=Path), callback=_parse_creatable)

@@ -11,7 +11,8 @@ Node format version 2 is binary, with one encoding per node:
 
     leaf      0x02 0x00, then the chunk's raw bytes (0 to 262 144)
     interior  0x02 0x01, then 2 to 1024 links, each the child's 32-byte
-              SHA-256 digest and its size as an 8-byte big-endian integer
+              SHA-256 digest and its size as an 8-byte big-endian integer;
+              links that name one child agree on its size
 
 Version 1 was canonical JSON with the leaf data in base64, so every v1
 node starts with ``{`` and none decodes as v2. There is no v1 path: a
@@ -42,10 +43,6 @@ _INTERIOR = b"\x02\x01"
 _LINK = struct.Struct(">32sQ")  # child digest, child size
 
 
-class ChunkTooLarge(Error):
-    """Node data exceeds the 256 KiB chunk limit."""
-
-
 class FileTooLarge(Error):
     """Content exceeds the two-level DAG capacity (256 MiB)."""
 
@@ -66,10 +63,6 @@ class CorruptObject(Error):
         self.hash = hash
 
 
-class InvalidNode(Error):
-    """Node violates the leaf/interior shape rules."""
-
-
 @dataclass(frozen=True)
 class Link:
     """Edge to a child node: child hash, raw subtree size."""
@@ -77,32 +70,13 @@ class Link:
     hash: str
     size: int
 
-    def __post_init__(self):
-        parse_bare_hex64(self.hash)
-        if not isinstance(self.size, int) or isinstance(self.size, bool) or not 0 <= self.size < 1 << 64:
-            raise ValueError("link size must be an integer from 0 to 2**64 - 1")
-
 
 @dataclass(frozen=True)
 class DagNode:
-    """Either a leaf (data, no links) or an interior node of 2 to 1024 links, no data,
-    whose links agree on each child's size (so one check per child covers every link)."""
+    """A leaf (data, no links) or an interior node (links, no data); only decode_node checks the rules."""
 
     data: bytes = b""
     links: tuple[Link, ...] = ()
-
-    def __post_init__(self):
-        if len(self.data) > CHUNK_SIZE:
-            raise ChunkTooLarge(f"data is {len(self.data)} bytes, limit {CHUNK_SIZE}")
-        if self.data and self.links:
-            raise InvalidNode("node cannot carry both data and links")
-        if self.links and len(self.links) < 2:
-            raise InvalidNode("interior node must have at least 2 links")
-        if len(self.links) > MAX_LINKS:
-            # a root must not name more than the 256 MiB cap's worth of leaves
-            raise InvalidNode(f"interior node has {len(self.links)} links, limit {MAX_LINKS}")
-        if len({link.hash: link.size for link in self.links}) != len({(link.hash, link.size) for link in self.links}):
-            raise InvalidNode("links that name one child disagree on its size")
 
     @property
     def is_leaf(self) -> bool:
@@ -116,24 +90,25 @@ def encode_node(node: DagNode) -> bytes:
 
 
 def decode_node(raw: bytes) -> DagNode:
-    """Strict inverse of encode_node; ValueError on any deviation."""
+    """The one check of a node's rules: strict inverse of encode_node, ValueError on any deviation."""
     with memoryview(raw) as view:
         kind, body = bytes(view[:2]), view[2:]
         if kind == _LEAF:
-            data, links = bytes(body), ()
-        elif kind == _INTERIOR:
-            if len(body) % _LINK.size:
-                raise ValueError(f"interior node body of {len(body)} bytes is not a whole number of links")
-            links = tuple(Link(digest.hex(), size) for digest, size in _LINK.iter_unpack(body))
-            if not links:  # DagNode would take this for the empty leaf
-                raise ValueError("interior node must have at least 2 links")
-            data = b""
-        else:
+            if len(body) > CHUNK_SIZE:
+                raise ValueError(f"data is {len(body)} bytes, limit {CHUNK_SIZE}")
+            return DagNode(data=bytes(body))
+        if kind != _INTERIOR:
             raise ValueError("not a version 2 leaf or interior node")
-    try:
-        return DagNode(data=data, links=links)
-    except (InvalidNode, ChunkTooLarge) as exc:
-        raise ValueError(str(exc)) from exc
+        if len(body) % _LINK.size:
+            raise ValueError(f"interior node body of {len(body)} bytes is not a whole number of links")
+        if len(body) < 2 * _LINK.size:
+            raise ValueError("interior node must have at least 2 links")
+        if len(body) > MAX_LINKS * _LINK.size:  # a root must not name more than the 256 MiB cap's worth of leaves
+            raise ValueError(f"interior node has {len(body) // _LINK.size} links, limit {MAX_LINKS}")
+        links = tuple(Link(digest.hex(), size) for digest, size in _LINK.iter_unpack(body))
+    if len({link.hash: link.size for link in links}) != len({(link.hash, link.size) for link in links}):
+        raise ValueError("links that name one child disagree on its size")
+    return DagNode(links=links)
 
 
 def check_child(link: Link, node: DagNode) -> None:
@@ -165,7 +140,7 @@ class ObjectStore:
         """Store a node's encoding as given; returns was_new.
 
         The one write path. The caller vouches that ``raw`` hashes to
-        ``hash`` and decodes as a node: ``put`` encodes it itself, and
+        ``hash`` and decodes as a node: ``put`` encodes what ``add_file`` built, and
         ``fetch_dag`` checks both on the received bytes. An object already
         stored is kept if its bytes still hash to its name and replaced if
         they do not, so a damaged object heals on the next write.
@@ -214,14 +189,13 @@ def add_file(store: ObjectStore, content: bytes) -> str:
     """
     if len(content) > MAX_FILE_SIZE:
         raise FileTooLarge(f"{len(content)} bytes exceeds the {MAX_FILE_SIZE}-byte cap")
-    if len(content) <= CHUNK_SIZE:
-        hash, _ = store.put(DagNode(data=content))
-        return hash
     links = []
-    for offset in range(0, len(content), CHUNK_SIZE):
+    for offset in range(0, max(len(content), 1), CHUNK_SIZE):  # one pass for the empty file
         chunk = content[offset : offset + CHUNK_SIZE]
         hash, _ = store.put(DagNode(data=chunk))
         links.append(Link(hash=hash, size=len(chunk)))
+    if len(links) == 1:
+        return links[0].hash
     root_hash, _ = store.put(DagNode(links=tuple(links)))
     return root_hash
 
@@ -239,16 +213,14 @@ def cat_file(nodes: Mapping[str, DagNode], root: str) -> bytes:
 class FileStat:
     total_size: int
     node_count: int
-    depth: int
 
 
 def stat(store: ObjectStore, root: str) -> FileStat:
     """File statistics from the root node alone (leaf data is never read)."""
     node = store.get(root)
     if node.is_leaf:
-        return FileStat(total_size=len(node.data), node_count=1, depth=1)
+        return FileStat(total_size=len(node.data), node_count=1)
     return FileStat(
         total_size=sum(link.size for link in node.links),
         node_count=1 + len(node.links),
-        depth=2,
     )

@@ -478,11 +478,12 @@ def load_chain(path: str | Path) -> list[Block]:
 
 
 class Chain:
-    """Single-writer handle over a chain file and its replayed state.
+    """Handle over a chain file and its replayed state.
 
-    Sealing is serialized by a lock and appends to the chain file before
-    swapping the in-memory state, so readers never observe a partially
-    applied block.
+    A thread lock serializes this handle's seals, and each one appends to
+    the chain file before swapping the in-memory state, so readers never
+    observe a partially applied block. Nothing here excludes a second
+    handle or process: the CLI's writers hold ``canonical.write_lock``.
     """
 
     def __init__(self, blocks: list[Block], state: ChainState, path: Path):

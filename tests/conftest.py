@@ -94,7 +94,7 @@ def sensor_pool(count: int, first_seed: int = 10) -> tuple[SigningKey, ...]:
 
 def raw_root(links) -> bytes:
     """Version 2 encoding of an interior node with these (hash, size) links,
-    built by hand, which DagNode may refuse to build."""
+    built by hand, which decode_node may refuse."""
     return b"\x02\x01" + b"".join(bytes.fromhex(hash) + size.to_bytes(8, "big") for hash, size in links)
 
 

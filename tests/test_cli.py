@@ -11,7 +11,7 @@ from unittest import mock
 import pytest
 from click.testing import CliRunner
 
-from thermoledger import dagstore, envelope, exchange, ledger
+from thermoledger import dagstore, envelope, exchange, ledger, telemetry
 from thermoledger.cli import main
 from thermoledger.dagstore import DagNode, Link, ObjectStore
 from thermoledger.envelope import decrypt, load_identity
@@ -469,9 +469,9 @@ def _ingest_args(ws, offset_c, *extra):
     ]
 
 
-def _fetch_args(ws, peer, out):
+def _fetch_args(ws, peer, out, root="00" * 32):
     return [
-        "--data-dir", ws["data"], "file", "fetch", "--root", "00" * 32, "--from", peer,
+        "--data-dir", ws["data"], "file", "fetch", "--root", root, "--from", peer,
         "--identity", ws["data"] / "bms.key", "--out", out,
     ]
 
@@ -492,6 +492,9 @@ HOSTILE_INPUTS = {
     "fetch out below a file, deeper": lambda ws: _fetch_args(ws, "127.0.0.1:1", ws["data"] / "genesis.json" / "a" / "x.bin"),
     "fetch port superscript": lambda ws: _fetch_args(ws, "127.0.0.1:\u00b2", ws["data"] / "out.bin"),
     "fetch port 65536": lambda ws: _fetch_args(ws, "127.0.0.1:65536", ws["data"] / "out.bin"),
+    "fetch root xyz": lambda ws: _fetch_args(ws, "127.0.0.1:1", ws["data"] / "out.bin", "xyz"),
+    "fetch root uppercase": lambda ws: _fetch_args(ws, "127.0.0.1:1", ws["data"] / "out.bin", "AB" * 32),
+    "fetch root 62 hex": lambda ws: _fetch_args(ws, "127.0.0.1:1", ws["data"] / "out.bin", "ab" * 31),
     "data-dir file publish": lambda ws: [
         "--data-dir", ws["data"] / "genesis.json", "file", "publish", "--in", FIXTURE_CSV, "--recipient", ws["data"] / "bms.key.pub",
     ],
@@ -520,6 +523,63 @@ def test_hostile_operator_input_is_one_usage_error(workspace, name):
     assert len([line for line in result.stderr.splitlines() if line.startswith("Error: ")]) == 1
     assert "Traceback" not in result.stderr
     assert (workspace["data"] / "chain.jsonl").read_bytes() == genesis_only
+
+
+class TestOneWriterPerSite:
+    """init, ingest and seal hold the site's write lock from before they read the chain
+    until they end; a second writer is refused at once, and reads take no lock."""
+
+    def test_a_second_ingest_is_refused_while_one_runs(self, workspace, monkeypatch):
+        # unlocked, both seal block 1: heights 0, 1, 1, and every later command
+        # fails with "BrokenLink at height 1: height 1 does not follow 1"
+        data = workspace["data"]
+        inner = []
+        real_pump = telemetry.pump
+
+        def pump_after_a_second_ingest(*args, **kwargs):
+            if not inner:
+                inner.append(None)  # the second ingest's own pump goes straight on
+                inner[:] = [
+                    runner.invoke(main, [str(a) for a in [
+                        "--data-dir", data, "ingest", "--csv", FIXTURE_CSV, "--to", workspace["bms"], "--sender-key", data / "sealer.key",
+                    ]]),
+                    runner.invoke(main, ["--data-dir", str(data), "balance", workspace["bms"]]),
+                ]
+            return real_pump(*args, **kwargs)
+
+        monkeypatch.setattr(telemetry, "pump", pump_after_a_second_ingest)
+        assert _ingest_fixture(workspace).stdout == "sealed block 1 with 24 transactions\n"
+        busy, read = inner
+        assert busy.exit_code == 1 and busy.stdout == "", busy.output
+        assert [line.split(":")[0] for line in busy.stderr.splitlines()] == ["SiteBusy"]
+        assert (read.exit_code, read.stdout) == (0, "0\n")
+        assert [block.height for block in ledger.load_chain(data / "chain.jsonl")] == [0, 1]
+        run("--data-dir", data, "verify")
+
+    @pytest.mark.parametrize("outer", ["init", "ingest --no-seal", "seal"])
+    def test_every_writer_holds_the_site(self, workspace, monkeypatch, outer):
+        data = workspace["data"]
+        ingest = ["ingest", "--csv", FIXTURE_CSV, "--to", workspace["bms"], "--sender-key", data / "sensor.key"]
+        writers = {
+            "init": ["init", "--genesis", data / "genesis.json"],
+            "ingest": ingest,
+            "ingest --no-seal": [*ingest, "--no-seal"],
+            "seal": ["seal"],
+        }
+        if outer == "init":
+            (data / "chain.jsonl").write_bytes(b"")  # an init cut off before its genesis line; init writes it
+        inner = {}
+        real_load_chain = ledger.load_chain
+
+        def load_chain_after_every_writer(path):
+            monkeypatch.setattr(ledger, "load_chain", real_load_chain)
+            inner.update({name: runner.invoke(main, [str(a) for a in ["--data-dir", data, *args]]) for name, args in writers.items()})
+            return real_load_chain(path)
+
+        monkeypatch.setattr(ledger, "load_chain", load_chain_after_every_writer)
+        run("--data-dir", data, *writers[outer])
+        assert {name: (result.exit_code, result.stderr.split(":")[0]) for name, result in inner.items()} == {name: (1, "SiteBusy") for name in writers}
+        run("--data-dir", data, "verify")
 
 
 class TestFileCommands:

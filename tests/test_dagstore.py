@@ -9,12 +9,10 @@ from thermoledger.dagstore import (
     CHUNK_SIZE,
     MAX_FILE_SIZE,
     MAX_LINKS,
-    ChunkTooLarge,
     CorruptObject,
     DagNode,
     FileStat,
     FileTooLarge,
-    InvalidNode,
     Link,
     NotFound,
     ObjectStore,
@@ -85,31 +83,19 @@ class TestHashNode:
         b = Link("bb" * 32, 2)
         assert hash_node(DagNode(links=(a, b))) != hash_node(DagNode(links=(b, a)))
 
-    def test_oversized_data_rejected(self):
-        with pytest.raises(ChunkTooLarge):
-            DagNode(data=b"\x00" * (CHUNK_SIZE + 1))
-
-    def test_mixed_node_rejected(self):
-        with pytest.raises(InvalidNode):
-            DagNode(data=b"x", links=(Link("aa" * 32, 1), Link("bb" * 32, 1)))
-
-    def test_single_link_interior_rejected(self):
-        with pytest.raises(InvalidNode):
-            DagNode(links=(Link("aa" * 32, 1),))
-
-    def test_interior_node_capped_at_max_links(self):
-        links = tuple(Link(f"{i:064x}", 1) for i in range(MAX_LINKS + 1))
-        assert len(DagNode(links=links[:MAX_LINKS]).links) == MAX_LINKS
-        with pytest.raises(InvalidNode):
-            DagNode(links=links)
+    def test_interior_node_capped_at_max_links(self, store):
+        assert len(decode_node(raw_root((f"{i:064x}", 1) for i in range(MAX_LINKS))).links) == MAX_LINKS
+        raw = over_cap_root()
         with pytest.raises(ValueError, match="limit 1024"):
-            decode_node(over_cap_root())
+            decode_node(raw)
+        root = hashlib.sha256(raw).hexdigest()
+        store.put_raw(root, raw)
+        with pytest.raises(CorruptObject, match="limit 1024"):
+            store.get(root)
 
     def test_links_naming_one_child_agree_on_its_size(self, store):
         leaf, _ = store.put(DagNode(data=bytes(1000)))
-        DagNode(links=(Link(leaf, 1000), Link(leaf, 1000)))  # a repeated chunk
-        with pytest.raises(InvalidNode, match="disagree on its size"):
-            DagNode(links=(Link(leaf, 1000), Link(leaf, 5)))
+        assert len(decode_node(raw_root([(leaf, 1000), (leaf, 1000)])).links) == 2  # a repeated chunk
         raw = raw_root([(leaf, 1000), (leaf, 5)])
         with pytest.raises(ValueError, match="disagree on its size"):
             decode_node(raw)
@@ -243,11 +229,11 @@ class TestCatFile:
 
 class TestStat:
     def test_empty_file(self, store):
-        assert stat(store, add_file(store, b"")) == FileStat(total_size=0, node_count=1, depth=1)
+        assert stat(store, add_file(store, b"")) == FileStat(total_size=0, node_count=1)
 
     def test_million_byte_file(self, store):
         root = add_file(store, _random_bytes(1_000_000, seed=7))
-        assert stat(store, root) == FileStat(total_size=1_000_000, node_count=5, depth=2)
+        assert stat(store, root) == FileStat(total_size=1_000_000, node_count=5)
 
     def test_links_only_matches_full_traversal(self, store):
         content = _random_bytes(700_001, seed=8)
@@ -283,6 +269,9 @@ class TestModificationSensitivity:
     def test_full_store_audit(self, store):
         for seed in range(5):
             add_file(store, _random_bytes(100_000 * seed, seed=seed))
+        # every node add_file builds at the chunk boundaries decodes
+        for size in (0, 1, CHUNK_SIZE - 1, CHUNK_SIZE, CHUNK_SIZE + 1, 4 * CHUNK_SIZE + 1):
+            add_file(store, _random_bytes(size, seed=size))
         audit(store)
         for hash in stored(store):
             assert hashlib.sha256(store.get_bytes(hash)).hexdigest() == hash
