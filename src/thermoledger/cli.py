@@ -31,9 +31,10 @@ import click
 from . import dagstore, envelope, exchange, ledger, telemetry
 from .canonical import append_records, parse_bare_hex64, read_records, replace_file, write_lock
 from .errors import Error, InvalidKey
-from .keys import SigningKey, load_signing_key, load_signing_public, public_key_path, require_address, save_signing_key, unpaired_key
+from .keys import SigningKey, public_key_path, require_address, unpaired_key
 
 DEFAULT_PORT = 9464
+_KEY_PAIRS = {key_pair.kind: key_pair for key_pair in (SigningKey, envelope.Identity)}
 
 
 @dataclass
@@ -71,7 +72,7 @@ class Config:
         # pinned to the sealer's public half (mode 0644), so reads never need the private key
         public_path = public_key_path(self.sealer_key_path)
         if public_path.exists():
-            authority = load_signing_public(public_path)
+            authority = SigningKey.load_public(public_path)
         elif self.sealer_key_path.exists():  # a keygen cut off before writing the .pub
             raise InvalidKey(
                 f"sealer key {self.sealer_key_path} has no {public_path.name} to pin reads to; "
@@ -94,25 +95,35 @@ class _Main(click.Group):
             sys.exit(1)
 
 
-def _parse_offset(ctx, param, value: str) -> Decimal:
-    try:
-        return telemetry.require_offset(telemetry.parse_temperature(value))
-    except ValueError as exc:
-        raise click.BadParameter(str(exc))
+def _checked(parse):
+    """A click callback that hands a given value to ``parse``: a ValueError is
+    a usage error naming the option, and an unset option stays None."""
+
+    def callback(ctx, param, value):
+        try:
+            return None if value is None else parse(value)
+        except ValueError as exc:
+            raise click.BadParameter(str(exc)) from None
+
+    return callback
 
 
-def _parse_root(ctx, param, value: str) -> str:
-    try:
-        return parse_bare_hex64(value)
-    except ValueError as exc:
-        raise click.BadParameter(str(exc))
+def _offset(text: str) -> Decimal:
+    return telemetry.require_offset(telemetry.parse_temperature(text))
 
 
-def _parse_creatable(ctx, param, value: Path) -> Path:
+def _creatable(path: Path) -> Path:
     """Refuse a path below a file; the option's type refuses a wrong kind of file at the path itself."""
-    if not next((path for path in value.parents if path.exists()), value).is_dir():  # "/" and "." have no parents
-        raise click.BadParameter(f"{value} lies below a file, not a directory")
-    return value
+    if not next((parent for parent in path.parents if parent.exists()), path).is_dir():  # "/" and "." have no parents
+        raise ValueError(f"{path} lies below a file, not a directory")
+    return path
+
+
+def _peer(text: str) -> tuple[str, int]:
+    host, _, port = text.rpartition(":")
+    if not host or not re.fullmatch(r"[0-9]{1,5}", port) or int(port) > 65535:
+        raise ValueError(f"peer must be host:port with a port in 0-65535, got {text!r}")
+    return host, int(port)
 
 
 @click.group(cls=_Main)
@@ -122,11 +133,11 @@ def _parse_creatable(ctx, param, value: Path) -> Path:
     default="./thermoledger-data",
     show_default=True,
     type=click.Path(file_okay=False, path_type=Path),
-    callback=_parse_creatable,
+    callback=_checked(_creatable),
     help="Directory holding the chain, keys, and object store.",
 )
 @click.option("--sealer-key", type=click.Path(path_type=Path), default=None, help="Sealer key file [default: DATA_DIR/sealer.key].")
-@click.option("--offset-c", default="0", show_default=True, callback=_parse_offset, help="Non-negative temperature (at most 3 decimals) added to readings before encoding.")
+@click.option("--offset-c", default="0", show_default=True, callback=_checked(_offset), help="Non-negative temperature (at most 3 decimals) added to readings before encoding.")
 @click.pass_context
 def main(ctx, data_dir: Path, sealer_key: Path | None, offset_c: Decimal):
     """Private temperature ledger and encrypted record-file exchange."""
@@ -138,20 +149,16 @@ def main(ctx, data_dir: Path, sealer_key: Path | None, offset_c: Decimal):
 
 
 @main.command()
-@click.option("--kind", type=click.Choice(["signing", "encryption"]), default="signing", show_default=True)
-@click.option("--out", required=True, type=click.Path(dir_okay=False, path_type=Path), callback=_parse_creatable, help="Private key path; the public half goes to OUT.pub.")
+@click.option("--kind", type=click.Choice(list(_KEY_PAIRS)), default=SigningKey.kind, show_default=True)
+@click.option("--out", required=True, type=click.Path(dir_okay=False, path_type=Path), callback=_checked(_creatable), help="Private key path; the public half goes to OUT.pub.")
 def keygen(kind: str, out: Path):
     """Generate a keypair; print the address or fingerprint."""
+    key_pair = _KEY_PAIRS[kind]
     out.parent.mkdir(parents=True, exist_ok=True)
     private = unpaired_key(out, kind)  # a cut-off keygen's key: saving it again writes OUT.pub
-    if kind == "signing":
-        key = SigningKey.generate() if private is None else SigningKey.from_private_bytes(private)
-        save_signing_key(out, key)
-        click.echo(key.address)
-    else:
-        identity = envelope.Identity.generate() if private is None else envelope.Identity.from_private_bytes(private)
-        envelope.save_identity(out, identity)
-        click.echo(identity.fingerprint)
+    key = key_pair.generate() if private is None else key_pair.from_private_bytes(private)
+    key.save(out)
+    click.echo(key.address if isinstance(key, SigningKey) else key.fingerprint)
 
 
 @main.command()
@@ -167,7 +174,7 @@ def init(config: Config, genesis_file: Path):
                 f"sealer key not found at {config.sealer_key_path}; create one with: keygen --out {config.sealer_key_path}"
             )
         alloc = ledger.load_genesis_config(genesis_file)
-        sealer = load_signing_key(config.sealer_key_path)
+        sealer = SigningKey.load(config.sealer_key_path)
         replace_file(config.genesis_path, genesis_file.read_bytes(), 0o666)
         chain = ledger.Chain.create(alloc, sealer, config.chain_path)
     click.echo(f"genesis {chain.head.block_hash.hex()} sealer {sealer.address}")
@@ -175,18 +182,17 @@ def init(config: Config, genesis_file: Path):
 
 @main.command()
 @click.option("--csv", "csv_file", required=True, type=click.Path(exists=True, dir_okay=False, path_type=Path))
-@click.option("--to", "receiver", required=True, help="Receiver (management system) address.")
+@click.option("--to", "receiver", required=True, callback=_checked(require_address), help="Receiver (management system) address.")
 @click.option("--rotate-every", type=int, default=None, help="Switch sender address after this many transactions.")
 @click.option("--sender-key", "sender_keys", multiple=True, required=True, type=click.Path(path_type=Path), help="Sender key file; repeat to build the rotation pool in order.")
 @click.option("--no-seal", is_flag=True, help="Queue transactions in pending.jsonl instead of sealing a block.")
 @click.pass_obj
 def ingest(config: Config, csv_file: Path, receiver: str, rotate_every: int | None, sender_keys: tuple[Path, ...], no_seal: bool):
     """Ingest a temperature CSV: queue it, then seal the whole queue as one block."""
-    receiver = _address_arg(receiver)
     with config.lock():
         chain = config.open_chain(audit=False)
         readings = telemetry.ingest_csv(csv_file)
-        pool = tuple(load_signing_key(path) for path in sender_keys)
+        pool = tuple(SigningKey.load(path) for path in sender_keys)
         try:
             rotation = telemetry.RotationPolicy("never" if rotate_every is None else rotate_every, pool)
         except ValueError as exc:
@@ -217,7 +223,7 @@ def seal(config: Config):
 
 def _seal(config: Config, chain: ledger.Chain, txs: list[ledger.Transaction]) -> None:
     """Seal txs, which start with the whole queue, as the next block; then empty the queue."""
-    block = chain.seal(txs, load_signing_key(config.sealer_key_path))
+    block = chain.seal(txs, SigningKey.load(config.sealer_key_path))
     if config.pending_path.exists():
         replace_file(config.pending_path, b"", 0o666)
     click.echo(f"sealed block {block.height} with {len(txs)} transactions")
@@ -242,15 +248,15 @@ def verify(config: Config):
 
 
 @main.command()
-@click.option("--to", "receiver", default=None, help="Only transactions to this address.")
-@click.option("--from", "sender", default=None, help="Only transactions from this address.")
+@click.option("--to", "receiver", default=None, callback=_checked(require_address), help="Only transactions to this address.")
+@click.option("--from", "sender", default=None, callback=_checked(require_address), help="Only transactions from this address.")
 @click.option("--format", "fmt", type=click.Choice(["tsv", "csv"]), default="tsv", show_default=True)
 @click.option("--raw", is_flag=True, help="Print raw integer values instead of decoded temperatures.")
 @click.pass_obj
 def explorer(config: Config, receiver: str | None, sender: str | None, fmt: str, raw: bool):
     """Print the transaction table: Tx Hash, Block, From, To, Value."""
     chain = config.open_chain(audit=False)
-    rows = chain.query(_address_arg(sender) if sender else None, _address_arg(receiver) if receiver else None)
+    rows = chain.query(sender, receiver)
     out = io.StringIO()
     writer = csv_mod.writer(out, delimiter="\t" if fmt == "tsv" else ",", lineterminator="\n")
     writer.writerow(["Tx Hash", "Block", "From", "To", "Value"])
@@ -264,19 +270,12 @@ def explorer(config: Config, receiver: str | None, sender: str | None, fmt: str,
 
 
 @main.command()
-@click.argument("address")
+@click.argument("address", callback=_checked(require_address))
 @click.pass_obj
 def balance(config: Config, address: str):
     """Print an account's balance in base units."""
     chain = config.open_chain(audit=False)
-    click.echo(str(chain.state.account(_address_arg(address)).balance))
-
-
-def _address_arg(text: str) -> str:
-    try:
-        return require_address(text)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    click.echo(str(chain.state.account(address).balance))
 
 
 @main.group()
@@ -294,27 +293,25 @@ def publish(config: Config, in_path: Path, recipient: Path):
     if size > cap:  # refused before the file is read, encrypted and encoded
         raise dagstore.FileTooLarge(f"{in_path} is {size} bytes; the largest publishable file is {cap} bytes")
     store = dagstore.ObjectStore(config.objects_dir)
-    sealed = envelope.encrypt_for(envelope.load_recipient_public(recipient), in_path.read_bytes())
+    sealed = envelope.encrypt_for(envelope.Identity.load_public(recipient), in_path.read_bytes())
     root = dagstore.add_file(store, sealed)
     click.echo(root)
 
 
 @file.command()
-@click.option("--root", required=True, callback=_parse_root)
-@click.option("--from", "peer", required=True, help="Peer to fetch from, host:port.")
+@click.option("--root", required=True, callback=_checked(parse_bare_hex64))
+@click.option("--from", "peer", required=True, callback=_checked(_peer), help="Peer to fetch from, host:port.")
 @click.option("--identity", "identity_path", required=True, type=click.Path(path_type=Path), help="Recipient's private encryption key file.")
-@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False, path_type=Path), callback=_parse_creatable)
+@click.option("--out", "out_path", required=True, type=click.Path(dir_okay=False, path_type=Path), callback=_checked(_creatable))
 @click.pass_obj
-def fetch(config: Config, root: str, peer: str, identity_path: Path, out_path: Path):
+def fetch(config: Config, root: str, peer: tuple[str, int], identity_path: Path, out_path: Path):
     """Fetch a published file by root hash, verify, decrypt, and write it."""
-    host, _, port_text = peer.rpartition(":")
-    if not host or not re.fullmatch(r"[0-9]{1,5}", port_text) or int(port_text) > 65535:
-        raise click.UsageError(f"peer must be host:port with a port in 0-65535, got {peer!r}")
+    identity = envelope.Identity.load(identity_path)  # refused before the peer is contacted
     store = dagstore.ObjectStore(config.objects_dir)
-    transferred, nodes = exchange.fetch_dag((host, int(port_text)), root, store)
+    transferred, nodes = exchange.fetch_dag(peer, root, store)
     sealed = dagstore.cat_file(nodes, root)
     del nodes  # the leaves now live on in sealed; do not hold them twice while decrypting
-    plaintext = envelope.decrypt(sealed, envelope.load_identity(identity_path))
+    plaintext = envelope.decrypt(sealed, identity)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_bytes(plaintext)
     click.echo(f"fetched {transferred} nodes, wrote {len(plaintext)} bytes to {out_path}")

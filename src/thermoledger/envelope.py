@@ -19,6 +19,10 @@ packs ephemeral public key (32) || wrap nonce (12) || wrapped file key
 (48). Possessing envelope bytes without the recipient's private key
 yields nothing: both GCM layers authenticate, so tampering or a wrong key
 fails loudly instead of decrypting to garbage.
+
+A recipient's ``Identity`` is a ``keys.KeyPair``: that class owns the X25519
+raw-key code and the key-file kind of X25519 keys, and ``Identity`` adds
+only its fingerprint and the key exchange.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import re
 from pathlib import Path
 
 from cryptography.exceptions import InvalidTag
-from cryptography.hazmat.primitives import hashes, serialization
+from cryptography.hazmat.primitives import hashes
 from cryptography.hazmat.primitives.asymmetric.x25519 import (
     X25519PrivateKey,
     X25519PublicKey,
@@ -40,7 +44,7 @@ from cryptography.hazmat.primitives.kdf.hkdf import HKDF
 from .canonical import canonical_json  # noqa: F401  uncalled here; perfbench/spans.py wraps this name
 from .canonical import parse_b64, parse_bare_hex64, sha256
 from .errors import Error, InvalidKey
-from .keys import load_key, save_key_pair
+from .keys import KeyPair
 
 VERSION = 1
 _KEY_SIZE = 32
@@ -76,32 +80,14 @@ def fingerprint(public_key: bytes) -> str:
     return sha256(bytes(public_key)).hex()
 
 
-class Identity:
+class Identity(KeyPair):
     """An X25519 keypair that can receive envelopes."""
 
+    _scheme = X25519PrivateKey
+
     def __init__(self, private: X25519PrivateKey):
-        self._private = private
-        self.public_bytes = private.public_key().public_bytes(
-            serialization.Encoding.Raw, serialization.PublicFormat.Raw
-        )
+        super().__init__(private)
         self.fingerprint = fingerprint(self.public_bytes)
-
-    @classmethod
-    def generate(cls) -> "Identity":
-        return cls(X25519PrivateKey.generate())
-
-    @classmethod
-    def from_private_bytes(cls, raw: bytes) -> "Identity":
-        if len(raw) != 32:
-            raise InvalidKey("encryption private key must be 32 raw bytes")
-        return cls(X25519PrivateKey.from_private_bytes(raw))
-
-    def private_bytes(self) -> bytes:
-        return self._private.private_bytes(
-            serialization.Encoding.Raw,
-            serialization.PrivateFormat.Raw,
-            serialization.NoEncryption(),
-        )
 
     def _exchange(self, peer_public: bytes) -> bytes:
         return self._private.exchange(X25519PublicKey.from_public_bytes(peer_public))
@@ -135,9 +121,7 @@ def encrypt_for(recipient_public_key: bytes, plaintext: bytes) -> bytes:
     ciphertext = base64.b64encode(AESGCM(file_key).encrypt(nonce, plaintext, None))
 
     ephemeral = X25519PrivateKey.generate()
-    ephemeral_public = ephemeral.public_key().public_bytes(
-        serialization.Encoding.Raw, serialization.PublicFormat.Raw
-    )
+    ephemeral_public = ephemeral.public_key().public_bytes_raw()
     wrap_key = _derive_wrap_key(ephemeral.exchange(recipient), ephemeral_public, recipient_public_key)
     wrap_nonce = os.urandom(_NONCE_SIZE)
     wrapped = AESGCM(wrap_key).encrypt(wrap_nonce, file_key, None)
@@ -209,15 +193,5 @@ def _parse_envelope(envelope: bytes) -> tuple[str, bytes, bytes, bytes]:
     return recipient, wrapped_key, nonce, ciphertext
 
 
-# --- key file storage -------------------------------------------------------
-
 def save_identity(path: str | Path, identity: Identity) -> None:
-    save_key_pair(path, "encryption", identity.private_bytes(), identity.public_bytes)
-
-
-def load_identity(path: str | Path) -> Identity:
-    return Identity.from_private_bytes(load_key(path, "encryption"))
-
-
-def load_recipient_public(path: str | Path) -> bytes:
-    return load_key(path, "encryption-public")
+    identity.save(path)

@@ -1,6 +1,12 @@
-"""Signing keys, address derivation, and key files.
+"""Key pairs, signing keys, address derivation, and key files.
 
-The default scheme is Ed25519: signatures are deterministic, which keeps
+``KeyPair`` owns what the two kinds of key share: the raw 32-byte key of one
+``cryptography`` scheme, its public half, and the key-file kind that scheme's
+files carry (Ed25519 is ``"signing"``, X25519 is ``"encryption"``), with
+generate, load and save. ``SigningKey`` adds an address and ``sign``;
+``envelope.Identity`` adds a fingerprint and the X25519 exchange.
+
+The signing scheme is Ed25519: signatures are deterministic, which keeps
 transaction hashes reproducible across runs. Addresses are the last 20
 bytes of the SHA-256 digest of the raw 32-byte public key, rendered as
 ``0x`` plus 40 lowercase hex characters. Anything that signs payloads and
@@ -22,11 +28,11 @@ import re
 from pathlib import Path
 
 from cryptography.exceptions import InvalidSignature
-from cryptography.hazmat.primitives import serialization
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
 )
+from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
 from .canonical import bytes_to_hex, create_file, parse_hex, parse_object, sha256
 from .errors import InvalidKey
@@ -50,36 +56,59 @@ def require_address(text: str) -> str:
     return text
 
 
-class SigningKey:
-    """An Ed25519 keypair that signs ledger payloads."""
+class KeyPair:
+    """A raw 32-byte private key of one ``cryptography`` scheme, its raw
+    ``public_bytes``, and the ``kind`` its key files carry.
 
-    def __init__(self, private: Ed25519PrivateKey):
+    A subclass names its scheme's private key class as ``_scheme``; its
+    ``kind`` follows from the scheme, so each kind string is written here once.
+    """
+
+    _KINDS = {Ed25519PrivateKey: "signing", X25519PrivateKey: "encryption"}
+    kind: str
+    _scheme: type
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls.kind = KeyPair._KINDS[cls._scheme]
+
+    def __init__(self, private):
         self._private = private
-        self._public_bytes = private.public_key().public_bytes(
-            serialization.Encoding.Raw, serialization.PublicFormat.Raw
-        )
-        self.address = derive_address(self._public_bytes)
+        self.public_bytes = private.public_key().public_bytes_raw()
 
     @classmethod
-    def generate(cls) -> "SigningKey":
-        return cls(Ed25519PrivateKey.generate())
+    def generate(cls):
+        return cls(cls._scheme.generate())
 
     @classmethod
-    def from_private_bytes(cls, raw: bytes) -> "SigningKey":
+    def from_private_bytes(cls, raw: bytes):
         if len(raw) != 32:
-            raise InvalidKey("signing private key must be 32 raw bytes")
-        return cls(Ed25519PrivateKey.from_private_bytes(raw))
+            raise InvalidKey(f"{cls.kind} private key must be 32 raw bytes")
+        return cls(cls._scheme.from_private_bytes(raw))
+
+    @classmethod
+    def load(cls, path: str | Path):
+        return cls.from_private_bytes(load_key(path, cls.kind))
+
+    @classmethod
+    def load_public(cls, path: str | Path) -> bytes:
+        return load_key(path, cls.kind + "-public")
 
     def private_bytes(self) -> bytes:
-        return self._private.private_bytes(
-            serialization.Encoding.Raw,
-            serialization.PrivateFormat.Raw,
-            serialization.NoEncryption(),
-        )
+        return self._private.private_bytes_raw()
 
-    @property
-    def public_bytes(self) -> bytes:
-        return self._public_bytes
+    def save(self, path: str | Path) -> None:
+        save_key_pair(path, self.kind, self.private_bytes(), self.public_bytes)
+
+
+class SigningKey(KeyPair):
+    """An Ed25519 keypair that signs ledger payloads."""
+
+    _scheme = Ed25519PrivateKey
+
+    def __init__(self, private: Ed25519PrivateKey):
+        super().__init__(private)
+        self.address = derive_address(self.public_bytes)
 
     def sign(self, payload: bytes) -> bytes:
         return self._private.sign(payload)
@@ -152,12 +181,4 @@ def load_key(path: str | Path, kind: str) -> bytes:
 
 
 def save_signing_key(path: str | Path, key: SigningKey) -> None:
-    save_key_pair(path, "signing", key.private_bytes(), key.public_bytes)
-
-
-def load_signing_key(path: str | Path) -> SigningKey:
-    return SigningKey.from_private_bytes(load_key(path, "signing"))
-
-
-def load_signing_public(path: str | Path) -> bytes:
-    return load_key(path, "signing-public")
+    key.save(path)

@@ -178,16 +178,16 @@ def pump(
     """
     require_address(receiver)
     k = rotation.rotate_every
-    never = k == "never"
-    senders_needed = 1 if never else -(-len(readings) // k)
-    if readings and senders_needed > len(rotation.pool):
+    per_sender = max(len(readings), 1) if k == "never" else k  # "never": one sender for the whole batch
+    senders_needed = -(-len(readings) // per_sender)
+    if senders_needed > len(rotation.pool):
         raise PoolExhausted(
             f"{len(readings)} readings at {k} per address need {senders_needed} keys, pool has {len(rotation.pool)}"
         )
     next_nonce: dict[str, int] = {}
     txs = []
     for i, reading in enumerate(readings):
-        key = rotation.pool[0] if never else rotation.pool[i // k]
+        key = rotation.pool[i // per_sender]
         address = key.address
         if address not in next_nonce:
             next_nonce[address] = state.account(address).nonce

@@ -14,8 +14,8 @@ from click.testing import CliRunner
 from thermoledger import dagstore, envelope, exchange, ledger, telemetry
 from thermoledger.cli import main
 from thermoledger.dagstore import DagNode, Link, ObjectStore
-from thermoledger.envelope import decrypt, load_identity
-from thermoledger.keys import SigningKey, load_signing_key, public_key_path
+from thermoledger.envelope import Identity, decrypt
+from thermoledger.keys import SigningKey, public_key_path
 from thermoledger.telemetry import encode_reading
 
 from .conftest import FIXTURE_CSV, FIXTURE_VALUES, PER_SENSOR_ALLOCATION, bad_ed25519, read_back, seal_by_hand, serve
@@ -219,7 +219,7 @@ class TestChainCommands:
         assert (data / "chain.jsonl").read_bytes() == (twin / "chain.jsonl").read_bytes()
         assert (data / "pending.jsonl").read_bytes() == b""
         block = ledger.load_chain(data / "chain.jsonl")[1]
-        batch_sender = load_signing_key(data / batch_key).address
+        batch_sender = SigningKey.load(data / batch_key).address
         assert [tx.sender for tx in block.transactions] == [workspace["sensor"]] * 24 + [batch_sender] * 24
         assert [tx.value for tx in block.transactions] == [encode_reading(Decimal(v)) for v in FIXTURE_VALUES] * 2
         run("--data-dir", data, "verify")
@@ -273,7 +273,7 @@ class TestChainCommands:
         out = tmp_path / "k.key"
         out.touch()
         printed = run("keygen", "--kind", kind, "--out", out).output.strip()
-        load = {"signing": lambda: load_signing_key(out).address, "encryption": lambda: load_identity(out).fingerprint}[kind]
+        load = {"signing": lambda: SigningKey.load(out).address, "encryption": lambda: Identity.load(out).fingerprint}[kind]
         assert printed == load()
         assert public_key_path(out).is_file()
 
@@ -321,7 +321,7 @@ class TestChainCommands:
 
     def test_pinned_reads_trust_the_seal_and_verify_checks_every_signature(self, workspace):
         data = workspace["data"]
-        sealer, sensor = load_signing_key(data / "sealer.key"), load_signing_key(data / "sensor.key")
+        sealer, sensor = SigningKey.load(data / "sealer.key"), SigningKey.load(data / "sensor.key")
         head = ledger.load_chain(data / "chain.jsonl")[-1]
         forged = bad_ed25519(ledger.build_and_sign_tx(sensor, workspace["bms"], 7, nonce=0))
         ledger.append_block(data / "chain.jsonl", seal_by_hand(head, [forged], sealer))
@@ -376,6 +376,22 @@ class TestChainCommands:
     def test_bad_address_is_usage_error(self, workspace):
         result = runner.invoke(main, ["--data-dir", str(workspace["data"]), "balance", "0x1234"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("command", [
+        ["explorer", "--from", "bad"],
+        ["explorer", "--to", "bad"],
+        ["balance", "bad"],
+        ["ingest", "--csv", FIXTURE_CSV, "--to", "bad", "--sender-key", "sensor.key"],
+    ], ids=["explorer --from", "explorer --to", "balance", "ingest --to"])
+    def test_address_is_checked_before_the_site_is_read(self, tmp_path, command):
+        # checked after the chain was opened, a bad address on a site with no
+        # chain read "no chain ... run init first", and on a real one it waited for a replay
+        data = tmp_path / "void"
+        result = run("--data-dir", data, *command, expect=2)
+        lines = [line for line in result.stderr.splitlines() if line.startswith("Error: ")]
+        assert len(lines) == 1 and lines[0].startswith("Error: Invalid value for ")
+        assert lines[0].endswith("not a valid address: 'bad'")
+        assert not data.exists()
 
 
 def _bad_genesis(ws, tmp_path):
@@ -512,6 +528,13 @@ HOSTILE_INPUTS = {
     "data-dir below a file serve": lambda ws: [
         "--data-dir", ws["data"] / "chain.jsonl" / "x", "serve", "--host", "127.0.0.1", "--port", "0",
     ],
+    "ingest to bad": lambda ws: [
+        "--data-dir", ws["data"], "ingest", "--csv", FIXTURE_CSV, "--to", "bad", "--sender-key", ws["data"] / "sensor.key",
+    ],
+    "explorer from bad": lambda ws: ["--data-dir", ws["data"], "explorer", "--from", "bad"],
+    "explorer to bad": lambda ws: ["--data-dir", ws["data"], "explorer", "--to", "bad"],
+    "balance bad": lambda ws: ["--data-dir", ws["data"], "balance", "bad"],
+    "fetch from nohost": lambda ws: _fetch_args(ws, "nohost", ws["data"] / "out.bin"),
 }
 
 
@@ -631,7 +654,7 @@ class TestFileCommands:
             )
         assert result.output.startswith("fetched 5 nodes,")
         stored = read_back(ObjectStore(fetcher / "objects"), root)
-        assert decrypt(stored, load_identity(tmp_path / "recipient.key")) == out_file.read_bytes() == payload.read_bytes()
+        assert decrypt(stored, Identity.load(tmp_path / "recipient.key")) == out_file.read_bytes() == payload.read_bytes()
 
     def test_publish_refuses_a_file_too_large_before_reading_it(self, tmp_path, monkeypatch):
         run("keygen", "--kind", "encryption", "--out", tmp_path / "recipient.key")
@@ -665,6 +688,17 @@ class TestFileCommands:
         assert result.exit_code == 1
         assert result.stderr.startswith("WrongRecipient")
 
+
+    @pytest.mark.parametrize("identity", ["missing", "signing key"])
+    def test_fetch_refuses_its_identity_before_connecting(self, tmp_path, identity):
+        # loaded after the fetch, a bad identity was reported only once the whole DAG had arrived
+        key = tmp_path / "r.key"
+        if identity == "signing key":
+            run("keygen", "--out", key)
+        args = ["--data-dir", tmp_path / "d", "file", "fetch", "--root", "00" * 32, "--from", "127.0.0.1:1", "--identity", key, "--out", tmp_path / "out.bin"]
+        with mock.patch.object(exchange, "fetch_dag", side_effect=AssertionError("the peer was contacted")):
+            lines = run(*args, expect=1).stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"InvalidKey: key file {key}: ")
 
     def test_fetch_from_dead_peer_is_domain_error(self, tmp_path):
         run("keygen", "--kind", "encryption", "--out", tmp_path / "r.key")

@@ -60,10 +60,13 @@ def _genesis(key) -> ledger.Block:
     return ledger.seal_block([], pre_genesis, key, ledger.GENESIS_TIMESTAMP)[0]
 
 
-def _key_file(tmp_path, raw):
-    path = tmp_path / "k.key"
-    path.write_bytes(raw)
-    keys.load_key(path, "signing")
+def _key_file(key_pair):
+    def load(tmp_path, raw):
+        path = tmp_path / "k.key"
+        path.write_bytes(raw)
+        key_pair.load(path)
+
+    return load
 
 
 # name -> (valid record, its byte field, decode(tmp_path, raw), expected error)
@@ -82,7 +85,11 @@ DECODERS = {
     ),
     "key-file": (
         {"kind": "signing", "private_key": bytes_to_hex(bytes([4]) * 32)},
-        "private_key", _key_file, keys.InvalidKey,
+        "private_key", _key_file(keys.SigningKey), keys.InvalidKey,
+    ),
+    "encryption key-file": (
+        {"kind": "encryption", "private_key": bytes_to_hex(bytes([4]) * 32)},
+        "private_key", _key_file(envelope.Identity), keys.InvalidKey,
     ),
 }
 

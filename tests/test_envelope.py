@@ -18,8 +18,6 @@ from thermoledger.envelope import (
     decrypt,
     encrypt_for,
     fingerprint,
-    load_identity,
-    load_recipient_public,
     max_plaintext,
     save_identity,
 )
@@ -47,8 +45,8 @@ class TestIdentity:
     def test_key_file_round_trip(self, tmp_path, recipient):
         path = tmp_path / "bms.key"
         save_identity(path, recipient)
-        assert load_identity(path).fingerprint == recipient.fingerprint
-        assert load_recipient_public(tmp_path / "bms.key.pub") == recipient.public_bytes
+        assert Identity.load(path).fingerprint == recipient.fingerprint
+        assert Identity.load_public(tmp_path / "bms.key.pub") == recipient.public_bytes
 
     def test_bad_public_key_rejected(self):
         with pytest.raises(InvalidKey):

@@ -7,13 +7,11 @@ import stat
 
 import pytest
 
-from thermoledger.envelope import load_identity, load_recipient_public
+from thermoledger.envelope import Identity
 from thermoledger.errors import InvalidKey
 from thermoledger.keys import (
     SigningKey,
     derive_address,
-    load_signing_key,
-    load_signing_public,
     public_key_path,
     save_key_pair,
     save_signing_key,
@@ -71,10 +69,10 @@ def test_key_file_round_trip(tmp_path):
     key = SigningKey.generate()
     path = tmp_path / "sensor.key"
     save_signing_key(path, key)
-    loaded = load_signing_key(path)
+    loaded = SigningKey.load(path)
     assert loaded.address == key.address
     assert loaded.private_bytes() == key.private_bytes()
-    assert load_signing_public(tmp_path / "sensor.key.pub") == key.public_bytes
+    assert SigningKey.load_public(tmp_path / "sensor.key.pub") == key.public_bytes
 
 
 def test_private_key_file_is_0600_from_its_first_write(tmp_path, monkeypatch):
@@ -102,7 +100,7 @@ def test_public_half_lives_at_public_key_path(tmp_path):
     path = tmp_path / "k.key"
     save_signing_key(path, seeded_key(1))
     assert public_key_path(path) == tmp_path / "k.key.pub"
-    assert load_signing_public(public_key_path(path)) == seeded_key(1).public_bytes
+    assert SigningKey.load_public(public_key_path(path)) == seeded_key(1).public_bytes
 
 
 def test_key_file_never_replaced(tmp_path):
@@ -115,14 +113,14 @@ def test_key_file_never_replaced(tmp_path):
     with pytest.raises(InvalidKey, match="already exists"):
         save_key_pair(path, "encryption", bytes(32), bytes(32))
     assert (path.read_bytes(), (tmp_path / "k.key.pub").read_bytes()) == before
-    assert load_signing_key(path).address == seeded_key(1).address
+    assert SigningKey.load(path).address == seeded_key(1).address
 
 
 KEY_FILE_LOADERS = {
-    "signing": load_signing_key,
-    "signing-public": load_signing_public,
-    "encryption": load_identity,
-    "encryption-public": load_recipient_public,
+    "signing": SigningKey.load,
+    "signing-public": SigningKey.load_public,
+    "encryption": Identity.load,
+    "encryption-public": Identity.load_public,
 }
 
 KEY_FILE_FAULTS = {
