@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -46,6 +47,13 @@ def test_block_hashes_golden(three_block_chain):
         "38b7d7d2eb01726af531bad7f7db1343709e2464f9e5257847605dbcedb1e3c9",
         "3b8239a0948d71caaa1697bac51f713d728adba65ff141d9339ba4862ab73531",
     ]
+
+
+def test_chain_file_golden(three_block_chain, tmp_path):
+    # pins every byte of the chain file: both line layouts, not only the hashed header
+    path = tmp_path / "fixture-chain.jsonl"
+    assert [b.timestamp for b in three_block_chain.blocks] == [0, 100, 200]
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == "fa2606b2525579cef0e5e03c1a8171dc92adc7f630fdcc2156a51c3d3083e637"
 
 
 def test_fresh_chain_verifies(three_block_chain, genesis_config):

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import random
@@ -18,7 +19,7 @@ from thermoledger.envelope import Identity, decrypt
 from thermoledger.keys import SigningKey, public_key_path
 from thermoledger.telemetry import encode_reading
 
-from .conftest import FIXTURE_CSV, FIXTURE_VALUES, PER_SENSOR_ALLOCATION, bad_ed25519, read_back, seal_by_hand, serve
+from .conftest import FIXTURE_CSV, FIXTURE_VALUES, PER_SENSOR_ALLOCATION, bad_ed25519, read_back, seal_by_hand, seeded_key, serve
 
 runner = CliRunner()
 
@@ -195,6 +196,18 @@ class TestChainCommands:
         result = run("--data-dir", workspace["data"], "seal")
         assert "sealed block 1 with 24 transactions" in result.output
         assert pending.read_bytes() == b""
+
+    def test_queue_file_golden(self, tmp_path):
+        # pins every byte that ingest --no-seal queues for the fixture, with seeded keys
+        data = tmp_path / "data"
+        data.mkdir()
+        seeded_key(1).save(data / "sealer.key")
+        seeded_key(2).save(data / "sensor.key")
+        genesis = tmp_path / "genesis.json"
+        genesis.write_text(json.dumps({seeded_key(2).address: str(PER_SENSOR_ALLOCATION)}))
+        run("--data-dir", data, "init", "--genesis", genesis)
+        run("--data-dir", data, "ingest", "--csv", FIXTURE_CSV, "--to", seeded_key(3).address, "--sender-key", data / "sensor.key", "--no-seal")
+        assert hashlib.sha256((data / "pending.jsonl").read_bytes()).hexdigest() == "07928848f43e40229d2ba1b3ad9dfbff8af12816a662697a548dad59039f13dc"
 
     def test_queued_batches_stack_then_seal_as_one_block(self, workspace):
         _ingest_fixture(workspace, "--no-seal")
