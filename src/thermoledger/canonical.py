@@ -12,9 +12,10 @@ Parsing is strict: anything that is not the unique canonical rendering of
 its value (uppercase hex, leading zeros, stray signs, loose base64) is
 rejected, so a stored encoding can always be reproduced byte-for-byte from
 its parse. Every JSON and base64 decode goes through here and raises
-ValueError, which each caller maps to its own exception type. The one
-exception is the envelope's fixed layout, which ``envelope`` matches
-itself; it still decodes each base64 field with ``parse_b64``.
+ValueError, which each caller maps to its own exception type. The
+exceptions are fixed layouts that their module matches itself: chain and
+queue lines (``ledger``) and the envelope, which still decodes each base64
+field with ``parse_b64``.
 
 Every file the program keeps is written here too, by ``create_file``
 (exclusive), ``append_records`` (the lines ``read_records`` reads) or
@@ -91,12 +92,12 @@ def bytes_to_hex(data: bytes) -> str:
     return "0x" + data.hex()
 
 
-def parse_hex(text: str, *, length: int | None = None) -> bytes:
-    """Parse canonical 0x-prefixed lowercase hex."""
+def parse_hex(text: str, *, length: int) -> bytes:
+    """Parse canonical 0x-prefixed lowercase hex of ``length`` bytes."""
     if not isinstance(text, str) or not _HEX_RE.fullmatch(text):
         raise ValueError(f"not canonical 0x-hex: {text!r}")
     data = bytes.fromhex(text[2:])
-    if length is not None and len(data) != length:
+    if len(data) != length:
         raise ValueError(f"expected {length} bytes, got {len(data)}: {text!r}")
     return data
 
@@ -125,14 +126,6 @@ def parse_object(raw: bytes, keys: set[str] | None, what: str) -> dict:
     return obj
 
 
-def parse_canonical(raw: bytes) -> dict:
-    """A JSONL record: parse_object, and ``raw`` must be its canonical_json, one value, one byte string."""
-    obj = parse_object(raw, None, "record")
-    if canonical_json(obj) != raw:
-        raise ValueError("record bytes are not in canonical form")
-    return obj
-
-
 def parse_b64(data: bytes, what: str) -> bytes:
     """Decode canonical base64 bytes only (RFC 4648 section 3.5).
 
@@ -148,46 +141,41 @@ def parse_b64(data: bytes, what: str) -> bytes:
         raise ValueError(f"{what} is not canonical base64: {exc}") from exc
 
 
-def read_records(path: str | Path, from_obj: Callable[[dict], object], error: Callable[[str], Exception]) -> list:
-    """Parse one canonical JSON object per line, no blank lines; ``error("line N: ...")``.
-    A final line with no newline, a write cut short, is kept if it parses and dropped if not."""
+def read_records(path: str | Path, decode: Callable[[bytes], object], error: Callable[[str], Exception]) -> list:
+    """``decode`` each line (ValueError if it is not a record), no blank lines; ``error("line N: ...")``.
+    A final line with no newline, a write cut short, is kept if it decodes and dropped if not."""
     records = []
     with open(path, "rb") as fp:
         for lineno, line in enumerate(fp, start=1):
-            if not line.endswith(b"\n") and not _parses(line):
-                break
+            torn = not line.endswith(b"\n")
             line = line.rstrip(b"\n")
             try:
                 if not line:
                     raise ValueError("empty line")
-                records.append(from_obj(parse_canonical(line)))
+                records.append(decode(line))
             except ValueError as exc:
+                if torn:
+                    break
                 raise error(f"line {lineno}: {exc}") from exc
     return records
 
 
-def _parses(line: bytes) -> bool:
-    try:
-        parse_canonical(line)
-    except ValueError:
-        return False
-    return True
-
-
-def append_records(path: str | Path, records: Iterable[dict]) -> None:
-    """Append each record's canonical JSON as one line: what read_records reads.
-    A torn final line is first ended with its newline if it parses, cut off if not."""
+def append_records(path: str | Path, lines: Iterable[bytes], decode: Callable[[bytes], object]) -> None:
+    """Append each encoded record as one line: what read_records reads with ``decode``.
+    A torn final line is first ended with its newline if it decodes, cut off if not."""
     with open(path, "ab+") as fp:
         fp.seek(max(fp.seek(0, os.SEEK_END) - 1, 0))
         if fp.read(1) not in (b"", b"\n"):
             fp.seek(0)
             data = fp.read()
             start = data.rfind(b"\n") + 1
-            if _parses(data[start:]):
-                fp.write(b"\n")
-            else:
+            try:
+                decode(data[start:])
+            except ValueError:
                 fp.truncate(start)
-        fp.write(b"".join(canonical_json(record) + b"\n" for record in records))
+            else:
+                fp.write(b"\n")
+        fp.write(b"".join(line + b"\n" for line in lines))
 
 
 def create_file(path: str | Path, data: bytes, mode: int) -> None:

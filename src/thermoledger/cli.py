@@ -183,20 +183,20 @@ def init(config: Config, genesis_file: Path):
 @main.command()
 @click.option("--csv", "csv_file", required=True, type=click.Path(exists=True, dir_okay=False, path_type=Path))
 @click.option("--to", "receiver", required=True, callback=_checked(require_address), help="Receiver (management system) address.")
-@click.option("--rotate-every", type=int, default=None, help="Switch sender address after this many transactions.")
+@click.option("--rotate-every", type=int, default=None, callback=_checked(telemetry.require_rotate_every), help="Switch sender address after this many transactions.")
 @click.option("--sender-key", "sender_keys", multiple=True, required=True, type=click.Path(path_type=Path), help="Sender key file; repeat to build the rotation pool in order.")
 @click.option("--no-seal", is_flag=True, help="Queue transactions in pending.jsonl instead of sealing a block.")
 @click.pass_obj
 def ingest(config: Config, csv_file: Path, receiver: str, rotate_every: int | None, sender_keys: tuple[Path, ...], no_seal: bool):
     """Ingest a temperature CSV: queue it, then seal the whole queue as one block."""
+    pool = tuple(SigningKey.load(path) for path in sender_keys)
+    try:
+        rotation = telemetry.RotationPolicy("never" if rotate_every is None else rotate_every, pool)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     with config.lock():
         chain = config.open_chain(audit=False)
         readings = telemetry.ingest_csv(csv_file)
-        pool = tuple(SigningKey.load(path) for path in sender_keys)
-        try:
-            rotation = telemetry.RotationPolicy("never" if rotate_every is None else rotate_every, pool)
-        except ValueError as exc:
-            raise click.UsageError(str(exc))
         queued = _queued(config, chain)
         txs = telemetry.pump(
             readings,
@@ -206,7 +206,7 @@ def ingest(config: Config, csv_file: Path, receiver: str, rotate_every: int | No
             offset_c=config.offset_c,
         )
         if no_seal:
-            append_records(config.pending_path, [tx.to_obj() for tx in txs])
+            append_records(config.pending_path, [tx.canonical() for tx in txs], ledger.Transaction.decode)
             click.echo(f"queued {len(txs)} transactions in {config.pending_path}")
             return
         _seal(config, chain, queued + txs)
@@ -234,7 +234,7 @@ def _queued(config: Config, chain: ledger.Chain) -> list[ledger.Transaction]:
     path = config.pending_path
     if not path.exists():
         return []
-    pending = read_records(path, ledger.Transaction.from_obj, lambda message: click.ClickException(f"{path} {message}"))
+    pending = read_records(path, ledger.Transaction.decode, lambda message: click.ClickException(f"{path} {message}"))
     sealed = {tx.tx_hash for tx in chain.head.transactions}
     return [tx for tx in pending if tx.tx_hash not in sealed]
 

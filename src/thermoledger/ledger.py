@@ -19,13 +19,28 @@ map and hands that copy out read-only, so a seal is linear in transactions.
 Because Ed25519 has no public-key recovery, signature fields carry the
 32-byte public key followed by the 64-byte detached signature; verifiers
 re-derive the address from the embedded key and reject on mismatch.
+
+A pending.jsonl line is one transaction and a chain.jsonl line one block,
+the canonical JSON of the record (``canonical``), which needs no escape and
+so has one spelling. This module writes and matches it directly:
+
+    {"from":"<address>","gas_limit":"<uint>","gas_price":"<uint>","nonce":"<uint>","signature":"0x<hex>","to":"<address>","value":"<uint>"}
+    {"block_hash":"0x<64 hex>","height":"<uint>","merkle_root":"0x<64 hex>","prev_hash":"0x<64 hex>","sealer_signature":"0x<hex>","timestamp":"<uint>","transactions":[<tx>,<tx>,...]}
+
+Hex is lowercase of any even length (a short signature fails at its height).
+The sender signs its line less the signature field and tx_hash is the SHA-256
+of the line; the sealer signs {"height":…,"merkle_root":…,"prev_hash":…,
+"timestamp":…}, and block_hash is the SHA-256 of that header with its
+"sealer_signature" before "timestamp". Any other spelling is refused.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import threading
 import time
+from binascii import hexlify, unhexlify
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -34,15 +49,12 @@ from typing import Iterable, Mapping, Sequence
 
 from .canonical import (
     append_records,
-    bytes_to_hex,
     canonical_json,
     create_file,
-    parse_hex,
     parse_object,
     parse_uint,
     read_records,
     replace_file,
-    require_keys,
     sha256,
     uint_to_str,
 )
@@ -64,6 +76,21 @@ ZERO_HASH = b"\x00" * 32
 GENESIS_TIMESTAMP = 0
 
 _SEALED_SIG_SIZE = PUBLIC_KEY_SIZE + SIGNATURE_SIZE  # pubkey || detached signature
+
+# The module docstring's layouts. The %s before "to" and "timestamp" is the
+# signature field, or nothing in the payload that signature signs.
+_TX = b'{"from":"%s","gas_limit":"%d","gas_price":"%d","nonce":"%d"%s,"to":"%s","value":"%d"}'
+_HEADER = b'{"height":"%d","merkle_root":"0x%s","prev_hash":"0x%s"%s,"timestamp":"%d"}'
+_BLOCK = b'{"block_hash":"0x%s","height":"%d","merkle_root":"0x%s","prev_hash":"0x%s","sealer_signature":"0x%s","timestamp":"%d","transactions":[%s]}'
+_UINT, _HASH, _HEX = rb"(0|[1-9][0-9]*)", rb"0x([0-9a-f]{64})", rb"0x([0-9a-f]*)"  # an odd-length _HEX fails unhexlify
+_STRING = rb'([ !#-\[\]-~]*)'  # an address: printable ASCII but '"' and '\', so no escape; require_address checks the rest
+_TX_LINE = rb'\{"from":"%s","gas_limit":"%s","gas_price":"%s","nonce":"%s","signature":"%s","to":"%s","value":"%s"\}' % (
+    _STRING, _UINT, _UINT, _UINT, _HEX, _STRING, _UINT)
+_TX_RE = re.compile(_TX_LINE)
+_BLOCK_TX_RE = re.compile(_TX_LINE + rb"(?=,\{|\]\}\Z)")  # followed by the next transaction or the line's end
+_BLOCK_HEAD_RE = re.compile(rb'\{"block_hash":"%s","height":"%s","merkle_root":"%s","prev_hash":"%s","sealer_signature":"%s","timestamp":"%s","transactions":\[' % (
+    _HASH, _UINT, _HASH, _HASH, _HEX, _UINT))
+_NOT_CANONICAL = "record bytes are not in canonical form"
 
 
 class BadSignature(Error):
@@ -153,44 +180,34 @@ class Transaction:
     def fee(self) -> int:
         return self.gas_limit * self.gas_price
 
-    def _fields_obj(self) -> dict:
-        return {
-            "from": self.sender,
-            "to": self.recipient,
-            "value": uint_to_str(self.value),
-            "nonce": uint_to_str(self.nonce),
-            "gas_limit": uint_to_str(self.gas_limit),
-            "gas_price": uint_to_str(self.gas_price),
-        }
+    def _encode(self, signature_field: bytes) -> bytes:
+        return _TX % (self.sender.encode(), self.gas_limit, self.gas_price, self.nonce, signature_field, self.recipient.encode(), self.value)
 
     def signing_payload(self) -> bytes:
-        """Canonical encoding of everything except the signature."""
-        return canonical_json(self._fields_obj())
-
-    def to_obj(self) -> dict:
-        obj = self._fields_obj()
-        obj["signature"] = bytes_to_hex(self.signature)
-        return obj
+        """The line without its signature field: what the sender signs."""
+        return self._encode(b"")
 
     def canonical(self) -> bytes:
-        return canonical_json(self.to_obj())
+        """The transaction line, as a block and the queue store it."""
+        return self._encode(b',"signature":"0x%s"' % hexlify(self.signature))
 
     @cached_property
     def tx_hash(self) -> bytes:
         return sha256(self.canonical())
 
     @classmethod
-    def from_obj(cls, obj: dict) -> "Transaction":
-        require_keys(obj, {"from", "to", "value", "nonce", "gas_limit", "gas_price", "signature"}, "transaction")
-        return cls(
-            sender=obj["from"],
-            recipient=obj["to"],
-            value=parse_uint(obj["value"]),
-            nonce=parse_uint(obj["nonce"]),
-            gas_limit=parse_uint(obj["gas_limit"]),
-            gas_price=parse_uint(obj["gas_price"]),
-            signature=parse_hex(obj["signature"]),
-        )
+    def decode(cls, line: bytes) -> "Transaction":
+        """The transaction a queue line holds; ValueError unless the line is its one encoding."""
+        if (match := _TX_RE.fullmatch(line)) is None:
+            raise ValueError(_NOT_CANONICAL)
+        return _matched_tx(match)
+
+
+def _matched_tx(match: re.Match) -> Transaction:
+    sender, gas_limit, gas_price, nonce, signature, recipient, value = match.groups()
+    tx = Transaction(sender.decode(), recipient.decode(), int(value), int(nonce), int(gas_limit), int(gas_price), unhexlify(signature))
+    vars(tx)["tx_hash"] = sha256(match[0])  # the cached property: the bytes matched are the line it would encode
+    return tx
 
 
 @dataclass(frozen=True)
@@ -214,49 +231,38 @@ class Block:
         if self.height > MAX_NONCE:
             raise ValueError("block height exceeds 2**64 - 1")
 
-    def _header_obj(self) -> dict:
-        return {
-            "height": uint_to_str(self.height),
-            "prev_hash": bytes_to_hex(self.prev_hash),
-            "merkle_root": bytes_to_hex(self.merkle_root),
-            "timestamp": uint_to_str(self.timestamp),
-        }
+    def _header(self, sealer_field: bytes) -> bytes:
+        return _HEADER % (self.height, hexlify(self.merkle_root), hexlify(self.prev_hash), sealer_field, self.timestamp)
 
     def seal_payload(self) -> bytes:
-        """Canonical header encoding; this is what the sealer signs."""
-        return canonical_json(self._header_obj())
+        """The header without its seal: what the sealer signs."""
+        return self._header(b"")
 
     @cached_property
     def block_hash(self) -> bytes:
-        obj = self._header_obj()
-        obj["sealer_signature"] = bytes_to_hex(self.sealer_signature)
-        return sha256(canonical_json(obj))
+        return sha256(self._header(b',"sealer_signature":"0x%s"' % hexlify(self.sealer_signature)))
 
-    def to_obj(self) -> dict:
-        obj = self._header_obj()
-        obj["sealer_signature"] = bytes_to_hex(self.sealer_signature)
-        obj["block_hash"] = bytes_to_hex(self.block_hash)
-        obj["transactions"] = [tx.to_obj() for tx in self.transactions]
-        return obj
+    def canonical(self) -> bytes:
+        """The chain line; a block read from one keeps the block_hash it was stored with."""
+        stored_hash = self.block_hash if self.claimed_hash is None else self.claimed_hash
+        return _BLOCK % (hexlify(stored_hash), self.height, hexlify(self.merkle_root), hexlify(self.prev_hash),
+                         hexlify(self.sealer_signature), self.timestamp, b",".join(tx.canonical() for tx in self.transactions))
 
     @classmethod
-    def from_obj(cls, obj: dict) -> "Block":
-        require_keys(
-            obj,
-            {"height", "prev_hash", "merkle_root", "timestamp", "sealer_signature", "block_hash", "transactions"},
-            "block",
-        )
-        if not isinstance(obj["transactions"], list):
-            raise ValueError("block transactions must be a list")
-        return cls(
-            height=parse_uint(obj["height"]),
-            prev_hash=parse_hex(obj["prev_hash"], length=32),
-            merkle_root=parse_hex(obj["merkle_root"], length=32),
-            timestamp=parse_uint(obj["timestamp"]),
-            transactions=tuple(Transaction.from_obj(t) for t in obj["transactions"]),
-            sealer_signature=parse_hex(obj["sealer_signature"]),
-            claimed_hash=parse_hex(obj["block_hash"], length=32),
-        )
+    def decode(cls, line: bytes) -> "Block":
+        """The block a chain line holds; ValueError unless the line is its one encoding."""
+        head = _BLOCK_HEAD_RE.match(line)
+        if head is None or not line.endswith(b"]}"):
+            raise ValueError(_NOT_CANONICAL)
+        transactions, pos, end = [], head.end(), len(line) - 2
+        while pos < end:
+            if (match := _BLOCK_TX_RE.match(line, pos)) is None:
+                raise ValueError(_NOT_CANONICAL)
+            transactions.append(_matched_tx(match))
+            pos = match.end() + 1  # past its "," (or its "]", ending the loop)
+        block_hash, height, merkle_root, prev_hash, sealer_signature, timestamp = head.groups()
+        return cls(int(height), unhexlify(prev_hash), unhexlify(merkle_root), int(timestamp), tuple(transactions),
+                   unhexlify(sealer_signature), unhexlify(block_hash))
 
 
 @dataclass(frozen=True)
@@ -469,12 +475,12 @@ def load_genesis_config(path: str | Path) -> tuple[tuple[str, int], ...]:
 
 
 def append_block(path: str | Path, block: Block) -> None:
-    append_records(path, [block.to_obj()])
+    append_records(path, [block.canonical()], Block.decode)
 
 
 def load_chain(path: str | Path) -> list[Block]:
     """Parse a chain file strictly; any deviation raises MalformedBlock."""
-    return read_records(path, Block.from_obj, MalformedBlock)
+    return read_records(path, Block.decode, MalformedBlock)
 
 
 class Chain:
@@ -499,11 +505,11 @@ class Chain:
         pre_genesis = _pre_genesis(genesis_config, sealer_key.public_bytes)
         genesis, state = seal_block([], pre_genesis, sealer_key, GENESIS_TIMESTAMP)
         try:
-            create_file(path, canonical_json(genesis.to_obj()) + b"\n", 0o666)
+            create_file(path, genesis.canonical() + b"\n", 0o666)
         except FileExistsError:
             if load_chain(path):
                 raise Error(f"chain already exists at {path}") from None
-            append_records(path, [genesis.to_obj()])  # which cuts the torn line off first
+            append_block(path, genesis)  # which cuts the torn line off first
         return cls([genesis], state, Path(path))
 
     @classmethod

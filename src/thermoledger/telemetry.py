@@ -73,12 +73,17 @@ class RotationPolicy:
     pool: tuple[SigningKey, ...]
 
     def __post_init__(self):
-        k = self.rotate_every
-        if k != "never" and (not isinstance(k, int) or isinstance(k, bool) or k < 1):
-            raise ValueError("rotate_every must be a positive integer or never")
+        require_rotate_every(self.rotate_every)
         addresses = [key.address for key in self.pool]
         if len(set(addresses)) != len(addresses):
             raise ValueError("rotation pool contains duplicate addresses")
+
+
+def require_rotate_every(k: int | str) -> int | str:
+    """The rotation rule: a positive integer or "never"; ValueError otherwise."""
+    if k != "never" and (not isinstance(k, int) or isinstance(k, bool) or k < 1):
+        raise ValueError("rotate_every must be a positive integer or never")
+    return k
 
 
 def parse_temperature(text: str) -> Decimal:

@@ -1,3 +1,4 @@
+import json
 import threading
 from contextlib import contextmanager
 from dataclasses import replace
@@ -8,6 +9,7 @@ from unittest import mock
 import pytest
 
 from thermoledger import ledger
+from thermoledger.canonical import canonical_json
 from thermoledger.dagstore import MAX_LINKS, ObjectStore, cat_file
 from thermoledger.exchange import PeerServer, fetch_dag
 from thermoledger.keys import SigningKey
@@ -23,6 +25,14 @@ FIXTURE_VALUES = [
 ]
 
 PER_SENSOR_ALLOCATION = 10**24
+
+
+def json_line(line: bytes) -> dict:
+    """A line decoder for read_records and append_records: a JSON object whose canonical_json is the line."""
+    obj = json.loads(line)
+    if not isinstance(obj, dict) or canonical_json(obj) != line:
+        raise ValueError("record bytes are not in canonical form")
+    return obj
 
 
 def seeded_key(n: int) -> SigningKey:

@@ -17,6 +17,8 @@ from thermoledger.canonical import (
     uint_to_str,
 )
 
+from .conftest import json_line
+
 
 def test_sorted_keys_no_whitespace():
     assert canonical_json({"b": "2", "a": "1"}) == b'{"a":"1","b":"2"}'
@@ -51,14 +53,14 @@ def test_parse_uint_strict(bad):
 
 def test_hex_round_trip():
     data = bytes(range(32))
-    assert parse_hex(bytes_to_hex(data)) == data
-    assert parse_hex("0x") == b""
+    assert parse_hex(bytes_to_hex(data), length=32) == data
+    assert parse_hex("0x", length=0) == b""
 
 
 @pytest.mark.parametrize("bad", ["", "0X00", "0x0", "0xGG", "0x0A", "00ff", "0xff ", " 0xff"])
 def test_parse_hex_strict(bad):
     with pytest.raises(ValueError):
-        parse_hex(bad)
+        parse_hex(bad, length=1)
 
 
 def test_parse_hex_length():
@@ -81,7 +83,7 @@ def test_uint_round_trip_property(value):
 
 @given(st.binary(max_size=128))
 def test_hex_round_trip_property(data):
-    assert parse_hex(bytes_to_hex(data)) == data
+    assert parse_hex(bytes_to_hex(data), length=len(data)) == data
 
 
 @given(
@@ -143,7 +145,8 @@ class _Bad(Exception):
 
 @pytest.mark.parametrize("content, line", [(b'{"a":"1"}\n\n{"a":"2"}\n', 2), (b'{"a":"1"}\n{"b":"2"}\n', 2), (b"[]\n", 1)])
 def test_read_records_names_the_bad_line(tmp_path, content, line):
-    def from_obj(obj):
+    def decode(raw):
+        obj = json_line(raw)
         if set(obj) != {"a"}:
             raise ValueError("want key a")
         return obj["a"]
@@ -151,16 +154,16 @@ def test_read_records_names_the_bad_line(tmp_path, content, line):
     path = tmp_path / "records.jsonl"
     path.write_bytes(content)
     with pytest.raises(_Bad, match=f"^line {line}: "):
-        read_records(path, from_obj, _Bad)
+        read_records(path, decode, _Bad)
     path.write_bytes(b'{"a":"1"}\n{"a":"2"}')  # the last line may lack its newline
-    assert read_records(path, from_obj, _Bad) == ["1", "2"]
+    assert read_records(path, decode, _Bad) == ["1", "2"]
 
 
 @pytest.mark.parametrize("tail", [b'{"a":"', b"{", b'{"a":"2"', b"\xff"])
 def test_read_records_drops_a_torn_final_line_that_does_not_parse(tmp_path, tail):
     path = tmp_path / "records.jsonl"
     path.write_bytes(b'{"a":"1"}\n' + tail)
-    assert read_records(path, dict, _Bad) == [{"a": "1"}]
+    assert read_records(path, json_line, _Bad) == [{"a": "1"}]
     path.write_bytes(b'{"a":"1"}\n' + tail + b"\n")  # a terminated line is no torn write
     with pytest.raises(_Bad, match="^line 2: "):
-        read_records(path, dict, _Bad)
+        read_records(path, json_line, _Bad)

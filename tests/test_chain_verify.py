@@ -7,7 +7,6 @@ from dataclasses import replace
 import pytest
 
 from thermoledger import ledger
-from thermoledger.canonical import append_records, bytes_to_hex, canonical_json
 from thermoledger.errors import Error
 from thermoledger.keys import SigningKey
 from thermoledger.ledger import (
@@ -190,14 +189,14 @@ def test_concurrent_empty_seals_stay_linear(genesis_config, sealer, tmp_path):
 class TestPersistence:
     def test_chain_file_round_trip(self, three_block_chain, genesis_config, tmp_path):
         path = tmp_path / "chain.jsonl"
-        append_records(path, [b.to_obj() for b in three_block_chain.blocks])
+        _write_chain(path, three_block_chain.blocks)
         loaded = load_chain(path)
         assert loaded == list(three_block_chain.blocks)
         assert [b.claimed_hash for b in loaded] == [b.block_hash for b in three_block_chain.blocks]
 
     def test_replay_reproduces_identical_accounts(self, three_block_chain, genesis_config, tmp_path):
         path = tmp_path / "chain.jsonl"
-        append_records(path, [b.to_obj() for b in three_block_chain.blocks])
+        _write_chain(path, three_block_chain.blocks)
         replayed = verify_chain(load_chain(path), genesis_config)
         assert replayed.accounts_digest() == three_block_chain.state.accounts_digest()
 
@@ -225,13 +224,13 @@ class TestPersistence:
         ledger.Chain.create(genesis_config, seeded_key(writer), path)
         path.write_bytes(path.read_bytes()[:-40])
         chain = ledger.Chain.create(genesis_config, sealer, path)
-        assert path.read_bytes() == canonical_json(chain.head.to_obj()) + b"\n"
+        assert path.read_bytes() == chain.head.canonical() + b"\n"
         assert load_chain(path) == [chain.head]
 
     def test_create_keeps_a_file_holding_its_genesis_line(self, chain, genesis_config, sealer, tmp_path):
         path = tmp_path / "chain.jsonl"
         genesis = chain.head
-        path.write_bytes(canonical_json(genesis.to_obj()) + b"\n")
+        path.write_bytes(genesis.canonical() + b"\n")
         os.utime(path, ns=(0, 0))  # any write would move the mtime
         assert ledger.Chain.create(genesis_config, sealer, path).head == genesis
         assert path.stat().st_mtime_ns == 0
@@ -256,7 +255,7 @@ class TestPersistence:
 
     def test_load_rejects_unknown_keys(self, three_block_chain, tmp_path):
         path = tmp_path / "chain.jsonl"
-        append_records(path, [b.to_obj() for b in three_block_chain.blocks])
+        _write_chain(path, three_block_chain.blocks)
         lines = path.read_bytes().splitlines()
         obj = json.loads(lines[1])
         obj["extra"] = "1"
@@ -269,7 +268,7 @@ class TestPersistence:
 class TestTamperFuzz:
     def test_every_single_byte_mutation_detected(self, three_block_chain, genesis_config, tmp_path):
         path = tmp_path / "chain.jsonl"
-        append_records(path, [b.to_obj() for b in three_block_chain.blocks])
+        _write_chain(path, three_block_chain.blocks)
         original = path.read_bytes()
         rng = random.Random(0xC0FFEE)
         detected = 0
@@ -291,12 +290,9 @@ class TestTamperFuzz:
 # --- seal-attested reads ----------------------------------------------------
 
 def _write_chain(path, blocks) -> None:
-    """Write blocks as stored lines, keeping a tampered stored hash."""
-    objs = [b.to_obj() for b in blocks]
-    for obj, block in zip(objs, blocks):
-        if block.claimed_hash is not None:
-            obj["block_hash"] = bytes_to_hex(block.claimed_hash)
-    append_records(path, objs)
+    """Write blocks as stored lines; a tampered stored hash is kept, as Block.canonical keeps it."""
+    for block in blocks:
+        ledger.append_block(path, block)
 
 
 @pytest.fixture(params=["verify_chain", "pinned open"])

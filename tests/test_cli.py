@@ -407,6 +407,31 @@ class TestChainCommands:
         assert not data.exists()
 
 
+    def test_ingest_refuses_its_rotation_before_the_site_is_touched(self, tmp_path):
+        # checked after the lock and the chain, it read "no chain ... run init first" and left void/write.lock
+        data = tmp_path / "void"
+        result = run(
+            "--data-dir", data, "ingest", "--csv", FIXTURE_CSV, "--to", "0x" + "ab" * 20,
+            "--sender-key", tmp_path / "nope.key", "--rotate-every", "0", expect=2,
+        )
+        lines = [line for line in result.stderr.splitlines() if line.startswith("Error: ")]
+        assert result.stderr.startswith("Usage: ")
+        assert len(lines) == 1 and lines[0].endswith("rotate_every must be a positive integer or never")
+        assert not data.exists()
+
+    def test_ingest_refuses_a_missing_sender_key_before_any_replay(self, workspace, monkeypatch):
+        def replay(*args, **kwargs):
+            raise AssertionError("Chain.open ran before the sender keys were loaded")
+
+        monkeypatch.setattr(ledger.Chain, "open", replay)
+        data = workspace["data"]
+        result = run(
+            "--data-dir", data, "ingest", "--csv", FIXTURE_CSV, "--to", workspace["bms"],
+            "--sender-key", data / "sensor.key", "--sender-key", data / "nope.key", expect=1,
+        )
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("InvalidKey: ") and "nope.key" in lines[0]
+
 def _bad_genesis(ws, tmp_path):
     genesis = tmp_path / "bad-genesis.json"
     genesis.write_text('{"0x1234": "1"}')

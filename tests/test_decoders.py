@@ -1,7 +1,8 @@
 """Every record decoder is equally strict and raises its own module's error.
 
-The JSON decoders go through ``canonical.parse_object`` / ``read_records``,
-and the envelope matches its one fixed layout; every base64 field goes
+The key-file decoders go through ``canonical.parse_object``, and chain
+lines, queue lines and the envelope each match their one fixed layout
+(chain and queue lines through ``read_records``); every base64 field goes
 through ``canonical.parse_b64``. These tests feed each decoder the same
 hostile variants of a valid record, and check that no other module decodes
 JSON or base64. DAG nodes are binary (node format v2), so their decoder gets
@@ -72,11 +73,11 @@ def _key_file(key_pair):
 # name -> (valid record, its byte field, decode(tmp_path, raw), expected error)
 DECODERS = {
     "block": (
-        _genesis(seeded_key(1)).to_obj(),
+        json.loads(_genesis(seeded_key(1)).canonical()),
         "sealer_signature", _block_line, ledger.MalformedBlock,
     ),
     "pending": (
-        ledger.build_and_sign_tx(seeded_key(2), seeded_key(3).address, 1, 0).to_obj(),
+        json.loads(ledger.build_and_sign_tx(seeded_key(2), seeded_key(3).address, 1, 0).canonical()),
         "signature", _pending_line, click.ClickException,
     ),
     "envelope": (

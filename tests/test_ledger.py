@@ -120,7 +120,7 @@ class TestTransaction:
 
     def test_round_trip_encoding(self, sensor, bms):
         tx = signed_tx(sensor, bms.address, 12345, 7, gas_limit=50_000, gas_price=2)
-        assert Transaction.from_obj(tx.to_obj()) == tx
+        assert Transaction.decode(tx.canonical()) == tx
 
 
 def _state(accounts: dict[str, Account]) -> ChainState:
@@ -324,5 +324,5 @@ class TestNonceMonotonicity:
 
 def test_canonical_encoding_stability(sensor, bms):
     tx = build_and_sign_tx(sensor, bms.address, 22_900_000_000_000_000_000, nonce=0)
-    assert tx.canonical() == Transaction.from_obj(tx.to_obj()).canonical()
+    assert tx.canonical() == Transaction.decode(tx.canonical()).canonical()
     assert tx.canonical() == build_and_sign_tx(sensor, bms.address, 22_900_000_000_000_000_000, nonce=0).canonical()

@@ -98,7 +98,6 @@ def test_cli_options_are_exactly_the_listed_ones():
 # (module, public function, method or class whose signature has it, parameter,
 #  the file outside tests with a call that leaves the parameter at its default)
 DEFAULTED_PARAMETERS = [
-    ("canonical", "parse_hex", "length", "src/thermoledger/ledger.py"),
     ("dagstore", "CorruptObject", "reason", "src/thermoledger/dagstore.py"),
     ("dagstore", "DagNode", "data", "src/thermoledger/dagstore.py"),
     ("dagstore", "DagNode", "links", "src/thermoledger/dagstore.py"),

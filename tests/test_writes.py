@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 
 from thermoledger import canonical
-from thermoledger.canonical import append_records, create_file, read_records, replace_file
+from thermoledger.canonical import append_records, canonical_json, create_file, read_records, replace_file
+
+from .conftest import json_line
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "thermoledger"
 
@@ -51,11 +53,11 @@ class TestCreateFile:
 def test_append_records_round_trips_through_read_records(tmp_path):
     path = tmp_path / "records.jsonl"
     records = [{"a": "1"}, {"b": ["x", "y"]}, {"c": {"d": "0x00"}}]
-    append_records(path, records[:1])
-    append_records(path, records[1:])
-    append_records(path, [])
+    append_records(path, [canonical_json(r) for r in records[:1]], json_line)
+    append_records(path, [canonical_json(r) for r in records[1:]], json_line)
+    append_records(path, [], json_line)
     assert path.read_bytes() == b'{"a":"1"}\n{"b":["x","y"]}\n{"c":{"d":"0x00"}}\n'
-    assert read_records(path, dict, ValueError) == records
+    assert read_records(path, json_line, ValueError) == records
 
 
 @pytest.mark.parametrize("torn, kept", [
@@ -66,9 +68,9 @@ def test_append_records_round_trips_through_read_records(tmp_path):
 def test_append_records_mends_a_torn_final_line_first(tmp_path, torn, kept):
     path = tmp_path / "records.jsonl"
     path.write_bytes(torn)
-    append_records(path, [{"c": "3"}])
+    append_records(path, [canonical_json({"c": "3"})], json_line)
     assert path.read_bytes() == kept + b'{"c":"3"}\n'
-    assert read_records(path, dict, ValueError)[-1] == {"c": "3"}
+    assert read_records(path, json_line, ValueError)[-1] == {"c": "3"}
 
 
 class TestReplaceFile:
