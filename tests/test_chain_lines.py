@@ -158,6 +158,29 @@ def test_mutated_queue_line_is_refused_or_exact(tmp_path_factory, tx, rng):
     _refused_or_exact(read, tx.canonical(), click.ClickException, rng)
 
 
+def _sample_line(record: str) -> bytes:
+    tx = build_and_sign_tx(seeded_key(2), seeded_key(3).address, 22_900_000_000_000_000_000, 7)
+    if record == "transaction":
+        return tx.canonical()
+    return Block(3, bytes(32), ledger.merkle_root([tx.tx_hash]), 100, (tx,), bytes(96)).canonical()
+
+
+@pytest.mark.parametrize("record, decode", [("transaction", Transaction.decode), ("block", Block.decode)], ids=["transaction", "block"])
+def test_every_substitution_is_refused_or_exact(record, decode):
+    # all 255 other byte values at every position, through the decoder read_records calls
+    line = _sample_line(record)
+    for i, byte in enumerate(line):
+        for other in range(256):
+            if other == byte:
+                continue
+            mutated = line[:i] + bytes([other]) + line[i + 1 :]
+            try:
+                decoded = decode(mutated)
+            except ValueError:
+                continue
+            assert decoded.canonical() == mutated
+
+
 def _two_tx_line() -> bytes:
     txs = tuple(build_and_sign_tx(seeded_key(2), seeded_key(3).address, 1 + i, i) for i in range(2))
     return Block(1, bytes(32), ledger.merkle_root([tx.tx_hash for tx in txs]), 7, txs, b"").canonical()
