@@ -40,7 +40,8 @@ from .errors import InvalidKey
 PUBLIC_KEY_SIZE = 32
 SIGNATURE_SIZE = 64
 
-_ADDRESS_RE = re.compile(r"0x[0-9a-f]{40}")
+ADDRESS_PATTERN = "0x[0-9a-f]{40}"  # ledger matches its chain and queue lines' addresses with it too
+_ADDRESS_RE = re.compile(ADDRESS_PATTERN)
 
 
 def derive_address(public_key: bytes) -> str:

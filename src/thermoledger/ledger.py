@@ -32,6 +32,11 @@ The sender signs its line less the signature field and tx_hash is the SHA-256
 of the line; the sealer signs {"height":…,"merkle_root":…,"prev_hash":…,
 "timestamp":…}, and block_hash is the SHA-256 of that header with its
 "sealer_signature" before "timestamp". Any other spelling is refused.
+
+The two decoders, ``build_and_sign_tx`` (the one builder) and ``seal_block``
+make every record the ledger accepts and are the one check of its fields: an
+address matches ``keys.ADDRESS_PATTERN``; value, nonce and height are capped.
+``Transaction`` and ``Block`` check nothing, so one built by hand is unchecked.
 """
 
 from __future__ import annotations
@@ -60,6 +65,7 @@ from .canonical import (
 )
 from .errors import Error
 from .keys import (
+    ADDRESS_PATTERN,
     PUBLIC_KEY_SIZE,
     SIGNATURE_SIZE,
     SigningKey,
@@ -83,9 +89,9 @@ _TX = b'{"from":"%s","gas_limit":"%d","gas_price":"%d","nonce":"%d"%s,"to":"%s",
 _HEADER = b'{"height":"%d","merkle_root":"0x%s","prev_hash":"0x%s"%s,"timestamp":"%d"}'
 _BLOCK = b'{"block_hash":"0x%s","height":"%d","merkle_root":"0x%s","prev_hash":"0x%s","sealer_signature":"0x%s","timestamp":"%d","transactions":[%s]}'
 _UINT, _HASH, _HEX = rb"(0|[1-9][0-9]*)", rb"0x([0-9a-f]{64})", rb"0x([0-9a-f]*)"  # an odd-length _HEX fails unhexlify
-_STRING = rb'([ !#-\[\]-~]*)'  # an address: printable ASCII but '"' and '\', so no escape; require_address checks the rest
+_ADDRESS = b"(%s)" % ADDRESS_PATTERN.encode()
 _TX_LINE = rb'\{"from":"%s","gas_limit":"%s","gas_price":"%s","nonce":"%s","signature":"%s","to":"%s","value":"%s"\}' % (
-    _STRING, _UINT, _UINT, _UINT, _HEX, _STRING, _UINT)
+    _ADDRESS, _UINT, _UINT, _UINT, _HEX, _ADDRESS, _UINT)
 _TX_RE = re.compile(_TX_LINE)
 _BLOCK_TX_RE = re.compile(_TX_LINE + rb"(?=,\{|\]\}\Z)")  # followed by the next transaction or the line's end
 _BLOCK_HEAD_RE = re.compile(rb'\{"block_hash":"%s","height":"%s","merkle_root":"%s","prev_hash":"%s","sealer_signature":"%s","timestamp":"%s","transactions":\[' % (
@@ -162,20 +168,6 @@ class Transaction:
     gas_price: int
     signature: bytes
 
-    def __post_init__(self):
-        require_address(self.sender)
-        require_address(self.recipient)
-        for name in ("value", "nonce", "gas_limit", "gas_price"):
-            v = getattr(self, name)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
-                raise ValueError(f"transaction {name} must be a non-negative integer")
-        if self.value > MAX_VALUE:
-            raise ValueError("transaction value exceeds 2**256 - 1")
-        if self.nonce > MAX_NONCE:
-            raise ValueError("transaction nonce exceeds 2**64 - 1")
-        if not isinstance(self.signature, bytes):
-            raise ValueError("transaction signature must be bytes")
-
     @property
     def fee(self) -> int:
         return self.gas_limit * self.gas_price
@@ -203,9 +195,19 @@ class Transaction:
         return _matched_tx(match)
 
 
+def _require_uint(value: int, cap: int, name: str) -> int:
+    """The integer rule of a value, nonce or height: from 0 to cap (MAX_VALUE or MAX_NONCE); ValueError otherwise."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ValueError(f"{name} must be a non-negative integer")
+    if value > cap:
+        raise ValueError(f"{name} exceeds 2**{cap.bit_length()} - 1")
+    return value
+
+
 def _matched_tx(match: re.Match) -> Transaction:
     sender, gas_limit, gas_price, nonce, signature, recipient, value = match.groups()
-    tx = Transaction(sender.decode(), recipient.decode(), int(value), int(nonce), int(gas_limit), int(gas_price), unhexlify(signature))
+    tx = Transaction(sender.decode(), recipient.decode(), _require_uint(int(value), MAX_VALUE, "transaction value"),
+                     _require_uint(int(nonce), MAX_NONCE, "transaction nonce"), int(gas_limit), int(gas_price), unhexlify(signature))
     vars(tx)["tx_hash"] = sha256(match[0])  # the cached property: the bytes matched are the line it would encode
     return tx
 
@@ -226,10 +228,6 @@ class Block:
     transactions: tuple[Transaction, ...]
     sealer_signature: bytes
     claimed_hash: bytes | None = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self):
-        if self.height > MAX_NONCE:
-            raise ValueError("block height exceeds 2**64 - 1")
 
     def _header(self, sealer_field: bytes) -> bytes:
         return _HEADER % (self.height, hexlify(self.merkle_root), hexlify(self.prev_hash), sealer_field, self.timestamp)
@@ -261,7 +259,7 @@ class Block:
             transactions.append(_matched_tx(match))
             pos = match.end() + 1  # past its "," (or its "]", ending the loop)
         block_hash, height, merkle_root, prev_hash, sealer_signature, timestamp = head.groups()
-        return cls(int(height), unhexlify(prev_hash), unhexlify(merkle_root), int(timestamp), tuple(transactions),
+        return cls(_require_uint(int(height), MAX_NONCE, "block height"), unhexlify(prev_hash), unhexlify(merkle_root), int(timestamp), tuple(transactions),
                    unhexlify(sealer_signature), unhexlify(block_hash))
 
 
@@ -275,7 +273,7 @@ class ChainState:
     authority: bytes  # public key that sealed genesis; it seals every block and earns the fees
 
     def account(self, address: str) -> Account:
-        return self.accounts.get(address, Account(address))
+        return self.accounts.get(address) or Account(address)
 
     def accounts_digest(self) -> bytes:
         """Canonical encoding of the account map, for replay comparisons."""
@@ -318,8 +316,9 @@ def _check_signature(signature: bytes, payload: bytes | None, error: type[Error]
 
 
 def build_and_sign_tx(sender_key: SigningKey, to: str, value: int, nonce: int) -> Transaction:
-    """Build a fee-free transaction and sign its canonical encoding."""
-    unsigned = Transaction(sender_key.address, to, value, nonce, DEFAULT_GAS_LIMIT, DEFAULT_GAS_PRICE, b"")
+    """Build a fee-free transaction and sign it; ValueError, before signing, on a bad recipient, value or nonce."""
+    value, nonce = _require_uint(value, MAX_VALUE, "transaction value"), _require_uint(nonce, MAX_NONCE, "transaction nonce")
+    unsigned = Transaction(sender_key.address, require_address(to), value, nonce, DEFAULT_GAS_LIMIT, DEFAULT_GAS_PRICE, b"")
     return replace(unsigned, signature=_attach_signature(sender_key, unsigned.signing_payload()))
 
 
@@ -398,13 +397,13 @@ def seal_block(
     Each transaction is verified against the incrementally updated state in
     list order; the first failure raises SealRejected with its index and
     leaves the input state untouched. An empty list seals an empty block.
-    A non-authority key is refused before signing, and the block is
-    returned only once the verifier's own check accepts it.
+    A non-authority key or a height past MAX_NONCE is refused before
+    signing; the block is returned only once the verifier's own check accepts it.
     """
     if sealer_key.public_bytes != state.authority:
         raise BadSealerSignature("sealer key is not the chain authority that sealed genesis")
     unsealed = Block(
-        height=state.head_height + 1,
+        height=_require_uint(state.head_height + 1, MAX_NONCE, "block height"),
         prev_hash=state.head_hash,
         merkle_root=merkle_root([tx.tx_hash for tx in pending]),
         timestamp=timestamp,

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import IO, Iterable, Sequence
 
 from .errors import Error
-from .keys import SigningKey, require_address
+from .keys import SigningKey
 from .ledger import ChainState, Transaction, build_and_sign_tx
 
 SCALE = 10**18
@@ -179,9 +179,8 @@ def pump(
     The sender advances to the next pool key after every rotate_every
     transactions; nonces continue from the current chain state and are
     tracked per sender across the batch. Transactions carry
-    build_and_sign_tx's zero fee.
+    build_and_sign_tx's zero fee; it refuses a receiver that is not an address.
     """
-    require_address(receiver)
     k = rotation.rotate_every
     per_sender = max(len(readings), 1) if k == "never" else k  # "never": one sender for the whole batch
     senders_needed = -(-len(readings) // per_sender)
