@@ -33,10 +33,11 @@ of the line; the sealer signs {"height":…,"merkle_root":…,"prev_hash":…,
 "timestamp":…}, and block_hash is the SHA-256 of that header with its
 "sealer_signature" before "timestamp". Any other spelling is refused.
 
-The two decoders, ``build_and_sign_tx`` (the one builder) and ``seal_block``
-make every record the ledger accepts and are the one check of its fields: an
-address matches ``keys.ADDRESS_PATTERN``; value, nonce and height are capped.
-``Transaction`` and ``Block`` check nothing, so one built by hand is unchecked.
+The two decoders and ``build_and_sign_tx`` (the one builder) make every
+record the ledger accepts and are the one check of its fields: an address
+matches ``keys.ADDRESS_PATTERN``; value, nonce and height are capped.
+``Transaction`` and ``Block`` check nothing, so one built by hand is unchecked
+until ``seal_block`` decodes the line it would write, before signing it.
 """
 
 from __future__ import annotations
@@ -397,20 +398,16 @@ def seal_block(
     Each transaction is verified against the incrementally updated state in
     list order; the first failure raises SealRejected with its index and
     leaves the input state untouched. An empty list seals an empty block.
-    A non-authority key or a height past MAX_NONCE is refused before
-    signing; the block is returned only once the verifier's own check accepts it.
+    A non-authority key is refused before signing, and so is a block whose
+    chain line Block.decode would refuse (a bad address, a number below 0 or
+    past its cap): the block sealed is the one its line reads back as. It is
+    returned only once the verifier's own check accepts it.
     """
     if sealer_key.public_bytes != state.authority:
         raise BadSealerSignature("sealer key is not the chain authority that sealed genesis")
-    unsealed = Block(
-        height=_require_uint(state.head_height + 1, MAX_NONCE, "block height"),
-        prev_hash=state.head_hash,
-        merkle_root=merkle_root([tx.tx_hash for tx in pending]),
-        timestamp=timestamp,
-        transactions=tuple(pending),
-        sealer_signature=b"",
-    )
-    block = replace(unsealed, sealer_signature=_attach_signature(sealer_key, unsealed.seal_payload()))
+    unsealed = Block.decode(Block(state.head_height + 1, state.head_hash, merkle_root([tx.tx_hash for tx in pending]),
+                                  timestamp, tuple(pending), b"").canonical())  # ValueError if the writer could not read it back
+    block = replace(unsealed, sealer_signature=_attach_signature(sealer_key, unsealed.seal_payload()), claimed_hash=None)
     return block, _accept(block, state, trust_seal=False)
 
 

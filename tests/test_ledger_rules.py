@@ -3,8 +3,8 @@
 ``Transaction`` and ``Block`` are plain values, so these tests build records
 past a cap or with a bad address by hand and feed them to each entry point:
 ``load_chain`` (line N of chain.jsonl), ``seal`` reading pending.jsonl, and
-``build_and_sign_tx``. ``seal_block`` refuses a height its own decoder would
-refuse. Counting ``verify_signature`` calls shows which opens and seals check
+``build_and_sign_tx``. ``seal_block`` (and so ``Chain.seal``) refuses, before
+signing, any block whose line its own decoder would refuse. Counting ``verify_signature`` calls shows which opens and seals check
 which signatures.
 """
 
@@ -136,6 +136,34 @@ def test_seal_block_refuses_a_height_past_the_cap_before_signing():
     with mock.patch.object(SigningKey, "sign", side_effect=AssertionError("signed")):
         with pytest.raises(ValueError, match=f"^block height {_over(ledger.MAX_NONCE)}$"):
             ledger.seal_block([], state_at(ledger.MAX_NONCE), SEALER, 7)
+        with pytest.raises(ValueError, match="^record bytes are not in canonical form$"):
+            ledger.seal_block([], state_at(0), SEALER, -1)
+
+
+# name -> fields of a hand-built transaction its queue or chain line would not read back as
+UNREADABLE = {
+    **{f"recipient {spelling}": {"recipient": bad} for spelling, bad in BAD_ADDRESSES.items()},
+    "negative gas_price": {"gas_price": -1},
+    "negative gas_limit": {"gas_limit": -1},
+    "negative value": {"value": -1},
+    "value past its cap": {"value": ledger.MAX_VALUE + 1},
+    "nonce past its cap": {"nonce": ledger.MAX_NONCE + 1},
+}
+
+
+@pytest.mark.parametrize("name", UNREADABLE)
+def test_chain_seal_refuses_a_record_its_line_would_not_read_back_as(tmp_path, name):
+    config, chain = _site(tmp_path)
+    unsigned = replace(TX, **UNREADABLE[name])
+    bad = replace(unsigned, signature=SENDER.public_bytes + SENDER.sign(unsigned.signing_payload()))
+    before = config.chain_path.read_bytes()
+    with mock.patch.object(SigningKey, "sign", side_effect=AssertionError("signed")):
+        with pytest.raises(ValueError):
+            chain.seal([TX, bad], SEALER)
+    assert config.chain_path.read_bytes() == before
+    assert chain.state.head_height == 0 and chain.state.account(SENDER.address) == ledger.Account(SENDER.address, 10, 0)
+    assert chain.seal([TX], SEALER).transactions == (TX,)
+    assert ledger.Chain.open(config.chain_path, ledger.load_genesis_config(config.genesis_path), None, True).state == chain.state
 
 
 def test_account_is_built_only_for_an_address_the_map_lacks(monkeypatch):
