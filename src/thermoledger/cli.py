@@ -244,7 +244,7 @@ def _queued(config: Config, chain: ledger.Chain) -> list[ledger.Transaction]:
 def verify(config: Config):
     """Replay and verify the whole chain, every signature included; exit 0 if sound."""
     chain = config.open_chain(audit=True)
-    click.echo(f"ok: {len(chain.blocks)} blocks, head {chain.head.block_hash.hex()}")
+    click.echo(f"ok: {chain.head.height + 1} blocks, head {chain.head.block_hash.hex()}")
 
 
 @main.command()

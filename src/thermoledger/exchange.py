@@ -17,15 +17,19 @@ ProtocolError, on either end. Version 1 sent canonical JSON messages with
 the node in base64, so every v1 frame starts with ``{`` and none passes
 as v2. There is no v1 path: this module is both ends of every connection.
 
-The server answers requests in order, so the client pipelines: it keeps
-up to WINDOW gets outstanding, from one thread, and reads each reply as
-the answer to its oldest get. The client trusts nothing from the wire: a
-node is stored only after its bytes hash to the requested name and decode
-as a version 2 DAG node (an interior one names at most 1024 leaves, the
-256 MiB cap, each with one size), so a corrupt or malicious peer can
-cause a failed fetch but never a corrupt store or an unbounded one. The
-bytes are stored as received, and the decoded nodes are handed back, so
-no node is encoded, hashed or decoded twice.
+Each end reads a connection's frames through one buffered reader
+(``socket.makefile``), which joins a frame split across segments and
+serves a burst of frames from one receive; each frame is written in one
+``sendall``, so Nagle never holds back the tail of one. The server
+answers requests in order, so the client pipelines: it keeps up to WINDOW
+gets outstanding, from one thread, and reads each reply as the answer to
+its oldest get. The client trusts nothing from the wire: a node is stored
+only after its bytes hash to the requested name and decode as a version
+2 DAG node (an interior one names at most 1024 leaves, the 256 MiB cap,
+each with one size), so a corrupt or malicious peer can cause a failed
+fetch but never a corrupt store or an unbounded one. The bytes are stored
+as received, and the decoded nodes are handed back, so no node is
+encoded, hashed or decoded twice.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from __future__ import annotations
 import socket
 import socketserver
 import struct
+from typing import BinaryIO
 
 from .canonical import canonical_json  # noqa: F401  uncalled here; perfbench/spans.py wraps this name
 from .canonical import parse_bare_hex64, sha256
@@ -79,36 +84,22 @@ def write_frame(sock: socket.socket, payload: bytes) -> None:
         raise ConnectionLost(f"socket error: {exc}") from exc
 
 
-def read_frame(sock: socket.socket) -> bytearray | None:
-    """Read one frame; None on clean EOF at a frame boundary."""
-    header = _read_exact(sock, _LEN.size)
-    if header is None:
-        return None
-    (length,) = _LEN.unpack(header)
-    if length > MAX_FRAME_SIZE:
-        raise ProtocolError(f"frame of {length} bytes exceeds the {MAX_FRAME_SIZE} cap")
-    payload = _read_exact(sock, length)
-    if payload is None:
-        raise ConnectionLost("peer closed the connection mid-frame")
-    return payload
-
-
-def _read_exact(sock: socket.socket, size: int) -> bytearray | None:
-    """size bytes; None if the peer closes before sending the first one."""
-    buf = bytearray(size)
-    got = 0
-    with memoryview(buf) as view:
-        while got < size:
-            try:
-                count = sock.recv_into(view[got:])
-            except OSError as exc:  # timeouts included
-                raise ConnectionLost(f"socket error: {exc}") from exc
-            if not count:
-                if not got:
-                    return None
-                raise ConnectionLost("peer closed the connection mid-frame")
-            got += count
-    return buf
+def read_frame(stream: BinaryIO) -> bytes | None:
+    """Read one frame from a connection's buffered reader; None on clean EOF at a frame boundary."""
+    try:
+        header = stream.read(_LEN.size)
+        if len(header) == _LEN.size:
+            (length,) = _LEN.unpack(header)
+            if length > MAX_FRAME_SIZE:
+                raise ProtocolError(f"frame of {length} bytes exceeds the {MAX_FRAME_SIZE} cap")
+            payload = stream.read(length)
+            if len(payload) == length:
+                return payload
+        elif not header:
+            return None
+    except OSError as exc:  # timeouts included
+        raise ConnectionLost(f"socket error: {exc}") from exc
+    raise ConnectionLost("peer closed the connection mid-frame")
 
 
 def encode_get(hash: str) -> bytes:
@@ -127,12 +118,13 @@ def decode_message(payload: bytes) -> bytes:
     return payload[1:]
 
 
-class _Handler(socketserver.BaseRequestHandler):
+class _Handler(socketserver.StreamRequestHandler):
+    timeout = PEER_TIMEOUT
+
     def handle(self):
         store = self.server.store
-        self.request.settimeout(PEER_TIMEOUT)
         try:
-            while (payload := read_frame(self.request)) is not None:
+            while (payload := read_frame(self.rfile)) is not None:
                 digest = decode_message(payload)
                 if len(digest) != DIGEST_SIZE:
                     raise ProtocolError(f"a get carries a {DIGEST_SIZE}-byte digest, not {len(digest)} bytes")
@@ -140,7 +132,7 @@ class _Handler(socketserver.BaseRequestHandler):
                     raw = store.get_bytes(digest.hex())
                 except (NotFound, CorruptObject):
                     raw = b""  # refuse to serve bytes that fail local verification
-                write_frame(self.request, encode_node(raw))
+                write_frame(self.connection, encode_node(raw))
         except Error:
             return  # a broken or hostile connection ends; the server goes on
 
@@ -170,6 +162,7 @@ class _PeerConnection:
             self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         except OSError as exc:
             raise ConnectionLost(f"cannot connect to {endpoint[0]}:{endpoint[1]}: {exc}") from exc
+        self._stream = self._sock.makefile("rb")
 
     def send_get(self, hash: str) -> None:
         write_frame(self._sock, encode_get(hash))
@@ -177,7 +170,7 @@ class _PeerConnection:
     def request_node(self, hash: str) -> bytes:
         """Read the reply to the oldest outstanding get, which is for hash,
         and hash-verify the node's raw bytes."""
-        payload = read_frame(self._sock)
+        payload = read_frame(self._stream)
         if payload is None:
             raise ConnectionLost("peer closed the connection")
         raw = decode_message(payload)
@@ -189,6 +182,7 @@ class _PeerConnection:
 
     def close(self) -> None:
         try:
+            self._stream.close()  # the socket's descriptor closes with the last of the two
             self._sock.close()
         except OSError:
             pass

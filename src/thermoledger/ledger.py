@@ -401,13 +401,17 @@ def seal_block(
     A non-authority key is refused before signing, and so is a block whose
     chain line Block.decode would refuse (a bad address, a number below 0 or
     past its cap): the block sealed is the one its line reads back as. It is
-    returned only once the verifier's own check accepts it.
+    returned only once the verifier's own check accepts it. That line
+    carries a placeholder root; the Merkle root is taken from the decoded
+    transactions, whose hashes are of the bytes matched, so a built
+    transaction's line is hashed once.
     """
     if sealer_key.public_bytes != state.authority:
         raise BadSealerSignature("sealer key is not the chain authority that sealed genesis")
-    unsealed = Block.decode(Block(state.head_height + 1, state.head_hash, merkle_root([tx.tx_hash for tx in pending]),
-                                  timestamp, tuple(pending), b"").canonical())  # ValueError if the writer could not read it back
-    block = replace(unsealed, sealer_signature=_attach_signature(sealer_key, unsealed.seal_payload()), claimed_hash=None)
+    decoded = Block.decode(Block(state.head_height + 1, state.head_hash, ZERO_HASH, timestamp, tuple(pending),
+                                 b"").canonical())  # ValueError if the writer could not read it back
+    unsealed = replace(decoded, merkle_root=merkle_root([tx.tx_hash for tx in decoded.transactions]), claimed_hash=None)
+    block = replace(unsealed, sealer_signature=_attach_signature(sealer_key, unsealed.seal_payload()))
     return block, _accept(block, state, trust_seal=False)
 
 
@@ -525,10 +529,6 @@ class Chain:
     @property
     def state(self) -> ChainState:
         return self._state
-
-    @property
-    def blocks(self) -> tuple[Block, ...]:
-        return tuple(self._blocks)
 
     @property
     def head(self) -> Block:

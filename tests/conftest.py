@@ -1,4 +1,5 @@
 import json
+import os
 import threading
 from contextlib import contextmanager
 from dataclasses import replace
@@ -16,6 +17,7 @@ from thermoledger.keys import SigningKey
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 FIXTURE_CSV = FIXTURE_DIR / "fig5_temperatures.csv"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 # Temperature column of the bundled fixture, in ingestion order.
 FIXTURE_VALUES = [
@@ -33,6 +35,11 @@ def json_line(line: bytes) -> dict:
     if not isinstance(obj, dict) or canonical_json(obj) != line:
         raise ValueError("record bytes are not in canonical form")
     return obj
+
+
+def child_env() -> dict[str, str]:
+    """The environment with src/ first on PYTHONPATH, so a child Python imports this checkout's package."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC_DIR), os.environ.get("PYTHONPATH")])))
 
 
 def seeded_key(n: int) -> SigningKey:

@@ -28,7 +28,7 @@ from thermoledger.keys import SigningKey
 from thermoledger.ledger import build_and_sign_tx, load_chain, verify_chain
 
 from .conftest import (
-    FIXTURE_CSV, FIXTURE_VALUES, PER_SENSOR_ALLOCATION, audit, read_back, seal_at, seeded_key, sensor_pool, serve, signed_tx, stored, supply,
+    FIXTURE_CSV, FIXTURE_VALUES, PER_SENSOR_ALLOCATION, audit, child_env, read_back, seal_at, seeded_key, sensor_pool, serve, signed_tx, stored, supply,
 )
 
 
@@ -273,7 +273,7 @@ def test_criterion_8_cross_run_determinism():
     """Hashes of fixed inputs are identical across independent processes."""
     with criterion(8, "cross-run determinism"):
         runs = [
-            subprocess.run([sys.executable, "-c", _DETERMINISM_SCRIPT], capture_output=True, text=True)
+            subprocess.run([sys.executable, "-c", _DETERMINISM_SCRIPT], capture_output=True, text=True, env=child_env())
             for _ in range(2)
         ]
         for run in runs:

@@ -38,32 +38,39 @@ def three_block_chain(chain, sensor, bms, sealer):
     return chain
 
 
-def test_block_hashes_golden(three_block_chain):
+@pytest.fixture
+def three_blocks(three_block_chain, tmp_path):
+    """three_block_chain's blocks, as its file holds them."""
+    return load_chain(tmp_path / "fixture-chain.jsonl")
+
+
+def test_block_hashes_golden(three_block_chain, three_blocks):
     # pins the chain format: any change to genesis, block or tx encoding,
     # Merkle root or seal moves these hashes
-    assert [b.block_hash.hex() for b in three_block_chain.blocks] == [
+    assert three_blocks[-1] == three_block_chain.head
+    assert [b.block_hash.hex() for b in three_blocks] == [
         "c87d6b16b66d30da7e81333e320102a740b438759b7b6e78dd700b32e285c0b8",
         "38b7d7d2eb01726af531bad7f7db1343709e2464f9e5257847605dbcedb1e3c9",
         "3b8239a0948d71caaa1697bac51f713d728adba65ff141d9339ba4862ab73531",
     ]
 
 
-def test_chain_file_golden(three_block_chain, tmp_path):
+def test_chain_file_golden(three_blocks, tmp_path):
     # pins every byte of the chain file: both line layouts, not only the hashed header
     path = tmp_path / "fixture-chain.jsonl"
-    assert [b.timestamp for b in three_block_chain.blocks] == [0, 100, 200]
+    assert [b.timestamp for b in three_blocks] == [0, 100, 200]
     assert hashlib.sha256(path.read_bytes()).hexdigest() == "fa2606b2525579cef0e5e03c1a8171dc92adc7f630fdcc2156a51c3d3083e637"
 
 
-def test_fresh_chain_verifies(three_block_chain, genesis_config):
-    state = verify_chain(three_block_chain.blocks, genesis_config)
+def test_fresh_chain_verifies(three_blocks, genesis_config):
+    state = verify_chain(three_blocks, genesis_config)
     assert state.head_height == 2
     assert supply(state) == sum(balance for _, balance in genesis_config)
 
 
-def test_foreign_sealer_rejected(three_block_chain, genesis_config, sensor):
+def test_foreign_sealer_rejected(three_blocks, genesis_config, sensor):
     # a block sealed by a non-authority key, even with a valid signature
-    blocks = list(three_block_chain.blocks)
+    blocks = list(three_blocks)
     unsealed = ledger.Block(
         height=3,
         prev_hash=blocks[-1].block_hash,
@@ -109,13 +116,13 @@ def test_chain_seal_refuses_foreign_key(genesis_config, sealer, sensor, tmp_path
         chain.seal([], sensor)
     assert sign_calls == []
     assert path.read_bytes() == before
-    assert len(chain.blocks) == 1
+    assert chain.head.height == 0
     chain.seal([], sealer)
     verify_chain(load_chain(path), genesis_config)
 
 
-def test_tampered_tx_value_breaks_merkle(three_block_chain, genesis_config):
-    blocks = list(three_block_chain.blocks)
+def test_tampered_tx_value_breaks_merkle(three_blocks, genesis_config):
+    blocks = list(three_blocks)
     victim = blocks[1]
     tampered_tx = replace(victim.transactions[0], value=victim.transactions[0].value + 1)
     blocks[1] = replace(victim, transactions=(tampered_tx,) + victim.transactions[1:])
@@ -125,8 +132,8 @@ def test_tampered_tx_value_breaks_merkle(three_block_chain, genesis_config):
     assert isinstance(excinfo.value.cause, MerkleRootMismatch)
 
 
-def test_reordered_txs_break_merkle(three_block_chain, genesis_config):
-    blocks = list(three_block_chain.blocks)
+def test_reordered_txs_break_merkle(three_blocks, genesis_config):
+    blocks = list(three_blocks)
     victim = blocks[1]
     swapped = (victim.transactions[1], victim.transactions[0]) + victim.transactions[2:]
     blocks[1] = replace(victim, transactions=swapped)
@@ -136,8 +143,8 @@ def test_reordered_txs_break_merkle(three_block_chain, genesis_config):
     assert isinstance(excinfo.value.cause, MerkleRootMismatch)
 
 
-def test_broken_link_detected(three_block_chain, genesis_config):
-    blocks = list(three_block_chain.blocks)
+def test_broken_link_detected(three_blocks, genesis_config):
+    blocks = list(three_blocks)
     blocks[2] = replace(blocks[2], prev_hash=b"\xaa" * 32)
     with pytest.raises(ChainVerificationError) as excinfo:
         verify_chain(blocks, genesis_config)
@@ -145,20 +152,20 @@ def test_broken_link_detected(three_block_chain, genesis_config):
     assert isinstance(excinfo.value.cause, BrokenLink)
 
 
-def test_stored_hash_mismatch_detected(three_block_chain, genesis_config):
-    blocks = list(three_block_chain.blocks)
+def test_stored_hash_mismatch_detected(three_blocks, genesis_config):
+    blocks = list(three_blocks)
     blocks[1] = replace(blocks[1], claimed_hash=b"\xbb" * 32)
     with pytest.raises(ChainVerificationError) as excinfo:
         verify_chain(blocks, genesis_config)
     assert isinstance(excinfo.value.cause, BlockHashMismatch)
 
 
-def test_replay_reports_tx_error_with_height(three_block_chain, sensor, sealer):
+def test_replay_reports_tx_error_with_height(three_blocks, sensor, sealer):
     # a structurally sound chain replayed against a poorer genesis: the
     # transactions cannot be afforded, so replay fails inside a block
     poorer = ((sensor.address, 5), (sealer.address, 5))
     with pytest.raises(ChainVerificationError) as excinfo:
-        verify_chain(three_block_chain.blocks, poorer)
+        verify_chain(three_blocks, poorer)
     assert excinfo.value.height == 1
     assert isinstance(excinfo.value.cause, ledger.InsufficientBalance)
 
@@ -182,21 +189,21 @@ def test_concurrent_empty_seals_stay_linear(genesis_config, sealer, tmp_path):
     for t in threads:
         t.join()
     assert not errors
-    assert [b.height for b in chain.blocks] == list(range(41))
+    assert [b.height for b in load_chain(tmp_path / "chain.jsonl")] == list(range(41))
     verify_chain(ledger.load_chain(tmp_path / "chain.jsonl"), genesis_config)
 
 
 class TestPersistence:
-    def test_chain_file_round_trip(self, three_block_chain, genesis_config, tmp_path):
+    def test_chain_file_round_trip(self, three_block_chain, three_blocks, genesis_config, tmp_path):
         path = tmp_path / "chain.jsonl"
-        _write_chain(path, three_block_chain.blocks)
+        _write_chain(path, three_blocks)
         loaded = load_chain(path)
-        assert loaded == list(three_block_chain.blocks)
-        assert [b.claimed_hash for b in loaded] == [b.block_hash for b in three_block_chain.blocks]
+        assert loaded == three_blocks and loaded[-1] == three_block_chain.head
+        assert [b.claimed_hash for b in loaded] == [b.block_hash for b in three_blocks]
 
-    def test_replay_reproduces_identical_accounts(self, three_block_chain, genesis_config, tmp_path):
+    def test_replay_reproduces_identical_accounts(self, three_block_chain, three_blocks, genesis_config, tmp_path):
         path = tmp_path / "chain.jsonl"
-        _write_chain(path, three_block_chain.blocks)
+        _write_chain(path, three_blocks)
         replayed = verify_chain(load_chain(path), genesis_config)
         assert replayed.accounts_digest() == three_block_chain.state.accounts_digest()
 
@@ -253,9 +260,9 @@ class TestPersistence:
         with pytest.raises(MalformedBlock):
             load_genesis_config(path)
 
-    def test_load_rejects_unknown_keys(self, three_block_chain, tmp_path):
+    def test_load_rejects_unknown_keys(self, three_blocks, tmp_path):
         path = tmp_path / "chain.jsonl"
-        _write_chain(path, three_block_chain.blocks)
+        _write_chain(path, three_blocks)
         lines = path.read_bytes().splitlines()
         obj = json.loads(lines[1])
         obj["extra"] = "1"
@@ -266,9 +273,9 @@ class TestPersistence:
 
 
 class TestTamperFuzz:
-    def test_every_single_byte_mutation_detected(self, three_block_chain, genesis_config, tmp_path):
+    def test_every_single_byte_mutation_detected(self, three_blocks, genesis_config, tmp_path):
         path = tmp_path / "chain.jsonl"
-        _write_chain(path, three_block_chain.blocks)
+        _write_chain(path, three_blocks)
         original = path.read_bytes()
         rng = random.Random(0xC0FFEE)
         detected = 0
@@ -361,8 +368,8 @@ TAMPERS = {
 
 
 @pytest.mark.parametrize("tamper", TAMPERS)
-def test_tamper_fails_audit_and_pinned_read(three_block_chain, genesis_config, sensor, bms, sealer, tmp_path, opener, tamper):
-    blocks = list(three_block_chain.blocks)
+def test_tamper_fails_audit_and_pinned_read(three_blocks, genesis_config, sensor, bms, sealer, tmp_path, opener, tamper):
+    blocks = list(three_blocks)
     height, cause = TAMPERS[tamper](blocks, sensor, bms, sealer)
     _write_chain(tmp_path / "chain.jsonl", blocks)
     with pytest.raises(ChainVerificationError) as excinfo:
@@ -371,10 +378,10 @@ def test_tamper_fails_audit_and_pinned_read(three_block_chain, genesis_config, s
     assert isinstance(excinfo.value.cause, cause)
 
 
-def test_every_single_byte_mutation_fails_a_pinned_read(three_block_chain, genesis_config, sealer, tmp_path):
+def test_every_single_byte_mutation_fails_a_pinned_read(three_blocks, genesis_config, sealer, tmp_path):
     # TestTamperFuzz's mutations, through the open that balance and explorer make
     path = tmp_path / "chain.jsonl"
-    _write_chain(path, three_block_chain.blocks)
+    _write_chain(path, three_blocks)
     original = path.read_bytes()
     rng = random.Random(0xC0FFEE)
     detected = 0
@@ -406,10 +413,10 @@ def verify_calls(monkeypatch):
     return calls
 
 
-def test_pinned_read_verifies_one_seal_per_block(three_block_chain, genesis_config, sealer, tmp_path, verify_calls):
+def test_pinned_read_verifies_one_seal_per_block(three_blocks, genesis_config, sealer, tmp_path, verify_calls):
     path = tmp_path / "chain.jsonl"
-    _write_chain(path, three_block_chain.blocks)
-    blocks = three_block_chain.blocks
+    _write_chain(path, three_blocks)
+    blocks = three_blocks
     ledger.Chain.open(path, genesis_config, sealer.public_bytes, audit=False)
     assert len(verify_calls) == len(blocks)
     verify_calls.clear()
@@ -420,9 +427,9 @@ def test_pinned_read_verifies_one_seal_per_block(three_block_chain, genesis_conf
     assert len(verify_calls) == 8
 
 
-def test_pinned_read_trusts_the_seal_for_ed25519_only(three_block_chain, genesis_config, sensor, bms, sealer, tmp_path):
+def test_pinned_read_trusts_the_seal_for_ed25519_only(three_blocks, genesis_config, sensor, bms, sealer, tmp_path):
     # the documented trust: a block the pinned authority sealed vouches for its signatures
-    blocks = list(three_block_chain.blocks)
+    blocks = list(three_blocks)
     blocks.append(seal_by_hand(blocks[-1], [bad_ed25519(build_and_sign_tx(sensor, bms.address, 1, nonce=5))], sealer))
     path = tmp_path / "chain.jsonl"
     _write_chain(path, blocks)

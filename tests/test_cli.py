@@ -19,7 +19,7 @@ from thermoledger.envelope import Identity, decrypt
 from thermoledger.keys import SigningKey, public_key_path
 from thermoledger.telemetry import encode_reading
 
-from .conftest import FIXTURE_CSV, FIXTURE_VALUES, PER_SENSOR_ALLOCATION, bad_ed25519, read_back, seal_by_hand, seeded_key, serve
+from .conftest import FIXTURE_CSV, FIXTURE_VALUES, PER_SENSOR_ALLOCATION, bad_ed25519, child_env, read_back, seal_by_hand, seeded_key, serve
 
 runner = CliRunner()
 
@@ -800,7 +800,7 @@ class TestServeCommand:
 def test_console_script_installed():
     result = subprocess.run(
         [sys.executable, "-m", "thermoledger.cli", "--help"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=child_env(),
     )
     assert result.returncode == 0
     assert "ingest" in result.stdout

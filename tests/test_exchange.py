@@ -1,11 +1,15 @@
 import base64
+import gc
 import hashlib
 import json
+import os
 import random
 import select
 import socket
 import struct
 import threading
+import time
+from contextlib import ExitStack, contextmanager
 from types import SimpleNamespace
 
 import pytest
@@ -134,12 +138,40 @@ class _CountingPeer:
         assert not self._thread.is_alive()
 
 
+@contextmanager
+def _connection(endpoint):
+    """A client socket and the one buffered reader its frames are read through."""
+    with socket.create_connection(endpoint, timeout=5) as sock, sock.makefile("rb") as stream:
+        yield sock, stream
+
+
+@contextmanager
+def _one_connection_peer(script):
+    """Run script(conn, stream) in a thread on the first connection to a fresh
+    port; yields the port's endpoint, and joins the thread on exit."""
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        def run():
+            conn, _ = listener.accept()
+            with conn, conn.makefile("rb") as stream:
+                script(conn, stream)
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        yield listener.getsockname()
+        thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+def _frame(payload):
+    return struct.pack(">I", len(payload)) + payload
+
+
 def test_frame_codec_maps_socket_errors_to_connection_lost():
     a, b = socket.socketpair()
-    with a, b:
+    with a, b, a.makefile("rb") as stream:
         a.settimeout(0.01)
         with pytest.raises(ConnectionLost):  # recv timed out
-            read_frame(a)
+            read_frame(stream)
         b.close()
         with pytest.raises(ConnectionLost):  # sendall to a closed peer
             write_frame(a, encode_get("11" * 32))
@@ -160,37 +192,32 @@ def _object_file(store, hash):
 class TestServe:
     def test_get_known_hash_returns_verified_node(self, remote):
         root = add_file(remote, b"small file")
-        with serve(remote) as server, socket.create_connection(server.endpoint, timeout=5) as sock:
+        with serve(remote) as server, _connection(server.endpoint) as (sock, stream):
             write_frame(sock, encode_get(root))
-            reply = read_frame(sock)
+            reply = read_frame(stream)
         assert reply == b"\x02" + _object_file(remote, root)
         assert hashlib.sha256(decode_message(reply)).hexdigest() == root
 
     def test_get_unknown_hash_returns_missing(self, remote):
-        with serve(remote) as server, socket.create_connection(server.endpoint, timeout=5) as sock:
+        with serve(remote) as server, _connection(server.endpoint) as (sock, stream):
             write_frame(sock, encode_get("11" * 32))
-            assert read_frame(sock) == b"\x02"
+            assert read_frame(stream) == b"\x02"
 
     def test_pipelined_gets_answered_in_order(self, remote):
-        roots = [add_file(remote, _content(1000, seed=i)) for i in range(3)]
-        with serve(remote) as server, socket.create_connection(server.endpoint, timeout=5) as sock:
-            for root in roots:
-                write_frame(sock, encode_get(root))
-            replies = [read_frame(sock) for _ in roots]
+        roots = [add_file(remote, _content(1000, seed=i)) for i in range(8)]
+        with serve(remote) as server, _connection(server.endpoint) as (sock, stream):
+            sock.sendall(b"".join(_frame(encode_get(root)) for root in roots))  # one burst
+            replies = [read_frame(stream) for _ in roots]
         assert replies == [b"\x02" + _object_file(remote, root) for root in roots]
 
     def test_concurrent_connections(self, remote):
         root = add_file(remote, b"shared")
-        with serve(remote) as server:
-            socks = [socket.create_connection(server.endpoint, timeout=5) for _ in range(4)]
-            try:
-                for sock in socks:
-                    write_frame(sock, encode_get(root))
-                for sock in socks:
-                    assert read_frame(sock) == b"\x02" + _object_file(remote, root)
-            finally:
-                for sock in socks:
-                    sock.close()
+        with serve(remote) as server, ExitStack() as stack:
+            connections = [stack.enter_context(_connection(server.endpoint)) for _ in range(4)]
+            for sock, _ in connections:
+                write_frame(sock, encode_get(root))
+            for _, stream in connections:
+                assert read_frame(stream) == b"\x02" + _object_file(remote, root)
 
     def test_corrupt_disk_object_served_as_missing(self, remote, tmp_path):
         root = add_file(remote, b"rot me")
@@ -198,9 +225,9 @@ class TestServe:
         raw = bytearray(victim.read_bytes())
         raw[-1] ^= 0xFF
         victim.write_bytes(bytes(raw))
-        with serve(remote) as server, socket.create_connection(server.endpoint, timeout=5) as sock:
+        with serve(remote) as server, _connection(server.endpoint) as (sock, stream):
             write_frame(sock, encode_get(root))
-            assert read_frame(sock) == b"\x02"
+            assert read_frame(stream) == b"\x02"
 
     def test_store_read_error_reaches_handle_error(self, remote, monkeypatch):
         def unreadable(hash):
@@ -208,10 +235,10 @@ class TestServe:
 
         monkeypatch.setattr(remote, "get_bytes", unreadable)
         reported = []
-        with serve(remote) as server, socket.create_connection(server.endpoint, timeout=5) as sock:
+        with serve(remote) as server, _connection(server.endpoint) as (sock, stream):
             monkeypatch.setattr(server, "handle_error", lambda request, address: reported.append(address))
             write_frame(sock, encode_get("11" * 32))
-            assert read_frame(sock) is None  # connection ends after the report
+            assert read_frame(stream) is None  # connection ends after the report
         assert len(reported) == 1
 
     def test_garbage_frame_closes_only_that_connection(self, remote):
@@ -229,12 +256,12 @@ class TestServe:
 def _assert_closes_only_that_connection(store, payload):
     root = add_file(store, b"still serving")
     with serve(store) as server:
-        with socket.create_connection(server.endpoint, timeout=5) as bad:
+        with _connection(server.endpoint) as (bad, stream):
             write_frame(bad, payload)
-            assert read_frame(bad) is None  # server hung up on us
-        with socket.create_connection(server.endpoint, timeout=5) as good:
+            assert read_frame(stream) is None  # server hung up on us
+        with _connection(server.endpoint) as (good, stream):
             write_frame(good, encode_get(root))
-            assert read_frame(good) == b"\x02" + _object_file(store, root)
+            assert read_frame(stream) == b"\x02" + _object_file(store, root)
 
 
 class TestFetchDag:
@@ -448,7 +475,7 @@ class TestFetchDag:
         root = add_file(remote, _content(2 * CHUNK_SIZE + 5, seed=18))
         replies = []
         read = exchange.read_frame
-        monkeypatch.setattr(exchange, "read_frame", lambda sock: replies.append(read(sock)) or replies[-1])
+        monkeypatch.setattr(exchange, "read_frame", lambda stream: replies.append(read(stream)) or replies[-1])
         with _CountingPeer(remote) as peer:
             fetch_dag(peer.endpoint, root, local)
         assert peer.requested == [root, *_leaves(root, remote)]
@@ -464,20 +491,47 @@ class TestFetchDag:
         assert stored(local) == set()
 
     def test_frame_over_the_cap_refused_before_its_payload(self, local):
-        with socket.create_server(("127.0.0.1", 0)) as listener:
-            def announce_too_much():
-                conn, _ = listener.accept()
-                with conn:
-                    read_frame(conn)
-                    conn.sendall(struct.pack(">I", MAX_FRAME_SIZE + 1))
-                    conn.recv(1)  # until the client hangs up
+        def announce_too_much(conn, stream):
+            read_frame(stream)
+            conn.sendall(struct.pack(">I", MAX_FRAME_SIZE + 1))
+            conn.recv(1)  # until the client hangs up
 
-            thread = threading.Thread(target=announce_too_much, daemon=True)
-            thread.start()
+        with _one_connection_peer(announce_too_much) as endpoint:
             with pytest.raises(ProtocolError, match="exceeds"):
-                fetch_dag(listener.getsockname(), "11" * 32, local)
-            thread.join(timeout=5)
-        assert not thread.is_alive()
+                fetch_dag(endpoint, "11" * 32, local)
+        assert stored(local) == set()
+
+    def test_reply_sent_a_few_bytes_at_a_time_is_read_whole(self, remote, local):
+        content = _content(1000, seed=20)
+        root = add_file(remote, content)
+        get, frame = _frame(encode_get(root)), _frame(encode_node(remote.get_bytes(root)))
+
+        def dribble(conn, stream):
+            assert stream.read(len(get)) == get
+            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            cuts = [0, 2, 7, len(frame) // 2, len(frame) - 1, len(frame)]  # the header split, then the payload
+            for start, end in zip(cuts, cuts[1:]):
+                conn.sendall(frame[start:end])
+                time.sleep(0.01)
+            conn.recv(1)  # until the client hangs up
+
+        with _one_connection_peer(dribble) as endpoint:
+            assert fetch_dag(endpoint, root, local)[0] == 1
+        assert read_back(local, root) == content
+
+    @pytest.mark.parametrize("part", ["header", "payload"])
+    def test_peer_closing_mid_frame_is_connection_lost_and_nothing_stored(self, remote, local, part):
+        root = add_file(remote, _content(1000, seed=21))
+        get, frame = _frame(encode_get(root)), _frame(encode_node(remote.get_bytes(root)))
+        cut = 2 if part == "header" else 4 + (len(frame) - 4) // 2
+
+        def hang_up(conn, stream):
+            assert stream.read(len(get)) == get
+            conn.sendall(frame[:cut])
+
+        with _one_connection_peer(hang_up) as endpoint:
+            with pytest.raises(ConnectionLost, match="mid-frame"):
+                fetch_dag(endpoint, root, local)
         assert stored(local) == set()
 
     def test_root_over_link_cap_refused_before_any_child_get(self, local):
@@ -521,6 +575,22 @@ def test_every_fetched_dag_is_described_by_its_links(tmp_path_factory, links):
 
 
 class TestEndToEnd:
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts descriptors through /proc")
+    def test_fetches_leave_no_descriptor_open(self, remote, tmp_path):
+        def open_descriptors():
+            gc.collect()  # an unclosed socket warns here, and ResourceWarning is an error
+            return len(os.listdir("/proc/self/fd"))
+
+        root = add_file(remote, _content(1000, seed=22))
+        before = open_descriptors()
+        with serve(remote) as server:
+            for i in range(50):
+                assert fetch_dag(server.endpoint, root, ObjectStore(tmp_path / f"local-{i}"))[0] == 1
+        deadline = time.monotonic() + 5
+        while open_descriptors() > before and time.monotonic() < deadline:
+            time.sleep(0.01)  # the server's handler threads close their ends on their own
+        assert open_descriptors() <= before
+
     def test_publish_fetch_decrypt_round_trip(self, remote, local):
         recipient = Identity.generate()
         plaintext = _content(1_000_000, seed=7)

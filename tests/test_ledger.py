@@ -16,6 +16,7 @@ from thermoledger.ledger import (
     Transaction,
     apply_tx,
     build_and_sign_tx,
+    load_chain,
     merkle_root,
     seal_block,
     verify_chain,
@@ -287,7 +288,8 @@ class TestConservation:
         sealer = seeded_key(39)
         alloc = {key.address: 10**6 for key in pool}
         genesis = tuple(sorted(alloc.items()))
-        chain = ledger.Chain.create(genesis, sealer, tmp_path_factory.mktemp("conservation") / "chain.jsonl")
+        path = tmp_path_factory.mktemp("conservation") / "chain.jsonl"
+        chain = ledger.Chain.create(genesis, sealer, path)
         total = sum(alloc.values())
         n_blocks = data.draw(st.integers(0, 3))
         for _ in range(n_blocks):
@@ -309,16 +311,17 @@ class TestConservation:
                 nonces[sender.address] += 1
             chain.seal(txs, sealer)
             assert supply(chain.state) == total
-        assert verify_chain(chain.blocks, genesis).accounts_digest() == chain.state.accounts_digest()
+        assert verify_chain(load_chain(path), genesis).accounts_digest() == chain.state.accounts_digest()
 
 
 class TestNonceMonotonicity:
-    def test_applied_nonces_consecutive_from_zero(self, chain, sensor, bms, sealer):
+    def test_applied_nonces_consecutive_from_zero(self, chain, sensor, bms, sealer, tmp_path):
         for height in range(1, 4):
             base = chain.state.account(sensor.address).nonce
             txs = [build_and_sign_tx(sensor, bms.address, 1, nonce=base + i) for i in range(3)]
             chain.seal(txs, sealer)
-        seen = [tx.nonce for block in chain.blocks for tx in block.transactions if tx.sender == sensor.address]
+        blocks = load_chain(tmp_path / "fixture-chain.jsonl")
+        seen = [tx.nonce for block in blocks for tx in block.transactions if tx.sender == sensor.address]
         assert seen == list(range(9))
 
 

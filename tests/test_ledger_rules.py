@@ -4,8 +4,9 @@
 past a cap or with a bad address by hand and feed them to each entry point:
 ``load_chain`` (line N of chain.jsonl), ``seal`` reading pending.jsonl, and
 ``build_and_sign_tx``. ``seal_block`` (and so ``Chain.seal``) refuses, before
-signing, any block whose line its own decoder would refuse. Counting ``verify_signature`` calls shows which opens and seals check
-which signatures.
+signing, any block whose line its own decoder would refuse. Counting
+``verify_signature`` calls shows which opens and seals check which
+signatures, and counting ``sha256`` calls how often a seal hashes.
 """
 
 from dataclasses import replace
@@ -191,3 +192,13 @@ def test_every_signature_is_checked_where_it_should_be(genesis_config, sealer, s
         calls.clear()
         ledger.Chain.open(path, genesis_config, authority, audit)
         assert len(calls) == expected, (authority, audit)
+
+
+def test_a_seal_hashes_each_built_transaction_once(chain, sensor, bms, sealer, monkeypatch):
+    txs = [ledger.build_and_sign_tx(sensor, bms.address, 1, nonce) for nonce in range(4)]
+    calls = []
+    real = ledger.sha256
+    monkeypatch.setattr(ledger, "sha256", lambda data: calls.append(data) or real(data))
+    chain.seal(txs, sealer)
+    assert [calls.count(tx.canonical()) for tx in txs] == [1] * 4  # the decoded line's tx_hash
+    assert len(calls) == 4 + 2 * 3 + 2  # the lines, 3 Merkle nodes in the seal and in its check, 2 headers
