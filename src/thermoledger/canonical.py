@@ -1,7 +1,8 @@
 """Canonical byte encoding shared by the ledger and the object store.
 
-Every digest in the system is computed over these encodings, so they must
-be bit-exact across runs, platforms, and languages:
+Every ledger digest and signature is computed over these encodings (DAG
+nodes and wire frames are binary), so they must be bit-exact across runs,
+platforms, and languages:
 
 * JSON with object keys sorted bytewise ascending, no insignificant
   whitespace, ASCII-escaped strings;
@@ -109,20 +110,22 @@ def parse_bare_hex64(text: str) -> str:
     return text
 
 
-def require_keys(obj: dict, keys: set[str], what: str) -> None:
-    """Reject objects whose key set is not exactly the expected one."""
-    if not isinstance(obj, dict) or set(obj.keys()) != keys:
-        raise ValueError(f"malformed {what}: expected keys {sorted(keys)}")
-
-
 def parse_object(raw: bytes, keys: set[str] | None, what: str) -> dict:
-    """Decode ASCII JSON bytes to an object with exactly ``keys`` (None: any)."""
-    obj = json.loads(raw.decode("ascii"))
-    if keys is None:
-        if not isinstance(obj, dict):
-            raise ValueError(f"malformed {what}: not a JSON object")
-    else:
-        require_keys(obj, keys, what)
+    """Decode ASCII JSON bytes to an object with exactly ``keys`` (None: any); a member
+    named twice, or nesting past the recursion limit, is a ValueError too."""
+    def members(pairs: list) -> dict:
+        if len(obj := dict(pairs)) != len(pairs):
+            raise ValueError(f"malformed {what}: a member is named twice")
+        return obj
+
+    try:
+        obj = json.loads(raw.decode("ascii"), object_pairs_hook=members)
+    except RecursionError:
+        raise ValueError(f"malformed {what}: nested too deeply") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"malformed {what}: not a JSON object")
+    if keys is not None and obj.keys() != keys:
+        raise ValueError(f"malformed {what}: expected keys {sorted(keys)}")
     return obj
 
 

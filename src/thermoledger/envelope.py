@@ -20,9 +20,9 @@ packs ephemeral public key (32) || wrap nonce (12) || wrapped file key
 yields nothing: both GCM layers authenticate, so tampering or a wrong key
 fails loudly instead of decrypting to garbage.
 
-A recipient's ``Identity`` is a ``keys.KeyPair``: that class owns the X25519
-raw-key code and the key-file kind of X25519 keys, and ``Identity`` adds
-only its fingerprint and the key exchange.
+A recipient's ``Identity`` is a ``keys.KeyPair``: that class owns the raw-key
+code and the key-file IO, and ``Identity`` adds only its scheme, its key-file
+kind, its fingerprint and the key exchange.
 """
 
 from __future__ import annotations
@@ -83,6 +83,7 @@ def fingerprint(public_key: bytes) -> str:
 class Identity(KeyPair):
     """An X25519 keypair that can receive envelopes."""
 
+    kind = "encryption"
     _scheme = X25519PrivateKey
 
     def __init__(self, private: X25519PrivateKey):

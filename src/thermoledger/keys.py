@@ -1,9 +1,9 @@
 """Key pairs, signing keys, address derivation, and key files.
 
 ``KeyPair`` owns what the two kinds of key share: the raw 32-byte key of one
-``cryptography`` scheme, its public half, and the key-file kind that scheme's
-files carry (Ed25519 is ``"signing"``, X25519 is ``"encryption"``), with
-generate, load and save. ``SigningKey`` adds an address and ``sign``;
+``cryptography`` scheme and its public half, with generate, load and save of
+the key files each subclass's ``kind`` names (Ed25519 is ``"signing"``,
+X25519 is ``"encryption"``). ``SigningKey`` adds an address and ``sign``;
 ``envelope.Identity`` adds a fingerprint and the X25519 exchange.
 
 The signing scheme is Ed25519: signatures are deterministic, which keeps
@@ -32,7 +32,6 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
     Ed25519PrivateKey,
     Ed25519PublicKey,
 )
-from cryptography.hazmat.primitives.asymmetric.x25519 import X25519PrivateKey
 
 from .canonical import bytes_to_hex, create_file, parse_hex, parse_object, sha256
 from .errors import InvalidKey
@@ -61,17 +60,12 @@ class KeyPair:
     """A raw 32-byte private key of one ``cryptography`` scheme, its raw
     ``public_bytes``, and the ``kind`` its key files carry.
 
-    A subclass names its scheme's private key class as ``_scheme``; its
-    ``kind`` follows from the scheme, so each kind string is written here once.
+    A subclass names its scheme's private key class as ``_scheme`` and its
+    key files' ``kind``.
     """
 
-    _KINDS = {Ed25519PrivateKey: "signing", X25519PrivateKey: "encryption"}
     kind: str
     _scheme: type
-
-    def __init_subclass__(cls):
-        super().__init_subclass__()
-        cls.kind = KeyPair._KINDS[cls._scheme]
 
     def __init__(self, private):
         self._private = private
@@ -105,6 +99,7 @@ class KeyPair:
 class SigningKey(KeyPair):
     """An Ed25519 keypair that signs ledger payloads."""
 
+    kind = "signing"
     _scheme = Ed25519PrivateKey
 
     def __init__(self, private: Ed25519PrivateKey):
@@ -116,9 +111,7 @@ class SigningKey(KeyPair):
 
 
 def verify_signature(public_key: bytes, signature: bytes, payload: bytes) -> bool:
-    """Check a detached Ed25519 signature; False on any mismatch."""
-    if len(public_key) != PUBLIC_KEY_SIZE or len(signature) != SIGNATURE_SIZE:
-        return False
+    """Check a detached Ed25519 signature; False on any mismatch, a wrong-length key or signature included."""
     try:
         Ed25519PublicKey.from_public_bytes(public_key).verify(signature, payload)
     except (InvalidSignature, ValueError):

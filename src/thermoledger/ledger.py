@@ -11,8 +11,9 @@ authority key lets its seal vouch for the Ed25519 signatures under it (the
 seal signs their Merkle root, and the writer checked each before sealing),
 so forging a read takes the sealer's private key; unpinned reads check all.
 A checkpoint file would instead trust whoever can write the data directory.
-The writer runs that same per-block check on every block it seals before
-returning it, and genesis is simply the height-0 seal of an empty list.
+The writer runs that same per-block check, the stored-hash check included,
+on every block it seals before returning it, and genesis is simply the
+height-0 seal of an empty list.
 Replay applies a block's transactions in place to one copy of the account
 map and hands that copy out read-only, so a seal is linear in transactions.
 
@@ -47,7 +48,7 @@ import re
 import threading
 import time
 from binascii import hexlify, unhexlify
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
@@ -217,9 +218,8 @@ def _matched_tx(match: re.Match) -> Transaction:
 class Block:
     """An authority-sealed batch of transactions.
 
-    ``claimed_hash`` preserves the block_hash found in storage so that
-    verification can detect tampering with the stored hash itself; it is
-    None for freshly sealed blocks.
+    ``block_hash`` is the hash as stored: read from the chain line, or set by
+    ``seal_block`` once it signs; ``header_hash`` says what it must be.
     """
 
     height: int
@@ -228,7 +228,7 @@ class Block:
     timestamp: int
     transactions: tuple[Transaction, ...]
     sealer_signature: bytes
-    claimed_hash: bytes | None = field(default=None, compare=False, repr=False)
+    block_hash: bytes
 
     def _header(self, sealer_field: bytes) -> bytes:
         return _HEADER % (self.height, hexlify(self.merkle_root), hexlify(self.prev_hash), sealer_field, self.timestamp)
@@ -237,14 +237,13 @@ class Block:
         """The header without its seal: what the sealer signs."""
         return self._header(b"")
 
-    @cached_property
-    def block_hash(self) -> bytes:
+    def header_hash(self) -> bytes:
+        """The block_hash this header must be stored with."""
         return sha256(self._header(b',"sealer_signature":"0x%s"' % hexlify(self.sealer_signature)))
 
     def canonical(self) -> bytes:
-        """The chain line; a block read from one keeps the block_hash it was stored with."""
-        stored_hash = self.block_hash if self.claimed_hash is None else self.claimed_hash
-        return _BLOCK % (hexlify(stored_hash), self.height, hexlify(self.merkle_root), hexlify(self.prev_hash),
+        """The chain line."""
+        return _BLOCK % (hexlify(self.block_hash), self.height, hexlify(self.merkle_root), hexlify(self.prev_hash),
                          hexlify(self.sealer_signature), self.timestamp, b",".join(tx.canonical() for tx in self.transactions))
 
     @classmethod
@@ -377,7 +376,7 @@ def _accept(block: Block, state: ChainState, trust_seal: bool) -> ChainState:
         raise BrokenLink(f"height {block.height} does not follow {state.head_height}")
     if block.prev_hash != state.head_hash:
         raise BrokenLink("prev_hash does not match parent block hash")
-    if block.claimed_hash is not None and block.claimed_hash != block.block_hash:
+    if block.block_hash != block.header_hash():
         raise BlockHashMismatch("stored block hash does not match recomputed hash")
     if merkle_root([tx.tx_hash for tx in block.transactions]) != block.merkle_root:
         raise MerkleRootMismatch("transaction list does not produce the stored root")
@@ -402,16 +401,17 @@ def seal_block(
     chain line Block.decode would refuse (a bad address, a number below 0 or
     past its cap): the block sealed is the one its line reads back as. It is
     returned only once the verifier's own check accepts it. That line
-    carries a placeholder root; the Merkle root is taken from the decoded
-    transactions, whose hashes are of the bytes matched, so a built
-    transaction's line is hashed once.
+    carries a placeholder root and hash; the Merkle root is taken from the
+    decoded transactions, whose hashes are of the bytes matched, so a built
+    transaction's line is hashed once, and only the signed header is hashed.
     """
     if sealer_key.public_bytes != state.authority:
         raise BadSealerSignature("sealer key is not the chain authority that sealed genesis")
     decoded = Block.decode(Block(state.head_height + 1, state.head_hash, ZERO_HASH, timestamp, tuple(pending),
-                                 b"").canonical())  # ValueError if the writer could not read it back
-    unsealed = replace(decoded, merkle_root=merkle_root([tx.tx_hash for tx in decoded.transactions]), claimed_hash=None)
-    block = replace(unsealed, sealer_signature=_attach_signature(sealer_key, unsealed.seal_payload()))
+                                 b"", ZERO_HASH).canonical())  # ValueError if the writer could not read it back
+    unsealed = replace(decoded, merkle_root=merkle_root([tx.tx_hash for tx in decoded.transactions]))
+    signed = replace(unsealed, sealer_signature=_attach_signature(sealer_key, unsealed.seal_payload()))
+    block = replace(signed, block_hash=signed.header_hash())
     return block, _accept(block, state, trust_seal=False)
 
 

@@ -96,8 +96,10 @@ def seal_by_hand(parent: ledger.Block, txs, key: SigningKey) -> ledger.Block:
         timestamp=300,
         transactions=tuple(txs),
         sealer_signature=b"",
+        block_hash=ledger.ZERO_HASH,
     )
-    return replace(unsealed, sealer_signature=key.public_bytes + key.sign(unsealed.seal_payload()))
+    sealed = replace(unsealed, sealer_signature=key.public_bytes + key.sign(unsealed.seal_payload()))
+    return replace(sealed, block_hash=sealed.header_hash())
 
 
 def bad_ed25519(tx: ledger.Transaction) -> ledger.Transaction:

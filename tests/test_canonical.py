@@ -127,7 +127,12 @@ def test_parse_b64_strict(bad):
         parse_b64(bad, "field")
 
 
-@pytest.mark.parametrize("raw", [b"\xff{}", b"{", b"[]", b'"x"', b'{"a":"1"}', b'{"a":"1","b":"2","c":"3"}'])
+# json.loads alone takes the last two: a member named twice (the last value wins), and nesting past the recursion limit (RecursionError)
+@pytest.mark.parametrize("raw", [
+    b"\xff{}", b"{", b"[]", b'"x"', b'{"a":"1"}', b'{"a":"1","b":"2","c":"3"}',
+    pytest.param(b'{"a":"1","a":"2","b":"3"}', id="member named twice"),
+    pytest.param(b"[" * 100_000 + b"]" * 100_000, id="nested 100000 deep"),
+])
 def test_parse_object_strict(raw):
     with pytest.raises(ValueError):
         parse_object(raw, {"a", "b"}, "thing")

@@ -10,6 +10,7 @@ re-encodes to exactly those bytes, so one record has one line.
 
 import hashlib
 import random
+from dataclasses import replace
 from decimal import Decimal
 
 import click
@@ -21,7 +22,7 @@ from thermoledger import canonical, cli, ledger
 from thermoledger.canonical import bytes_to_hex, canonical_json
 from thermoledger.ledger import Block, Transaction, build_and_sign_tx
 
-from .conftest import seeded_key
+from .conftest import seal_by_hand, seeded_key
 
 ADDRESSES = st.binary(min_size=20, max_size=20).map(lambda raw: "0x" + raw.hex())
 SIGNATURES = st.one_of(st.binary(max_size=100), st.just(b""), st.binary(min_size=96, max_size=96))
@@ -44,7 +45,7 @@ BLOCKS = st.builds(
     timestamp=st.integers(0, 2**64),
     transactions=st.lists(TRANSACTIONS, max_size=5).map(tuple),
     sealer_signature=SIGNATURES,
-    claimed_hash=st.one_of(st.none(), HASHES),
+    block_hash=HASHES,
 )
 
 
@@ -85,9 +86,8 @@ def test_block_encoder_is_canonical_json(block):
     header = _header_obj(block)
     assert block.seal_payload() == canonical_json(header)
     header["sealer_signature"] = bytes_to_hex(block.sealer_signature)
-    assert block.block_hash == hashlib.sha256(canonical_json(header)).digest()
-    stored = block.block_hash if block.claimed_hash is None else block.claimed_hash
-    line = dict(header, block_hash=bytes_to_hex(stored), transactions=[_tx_obj(tx) for tx in block.transactions])
+    assert block.header_hash() == hashlib.sha256(canonical_json(header)).digest()
+    line = dict(header, block_hash=bytes_to_hex(block.block_hash), transactions=[_tx_obj(tx) for tx in block.transactions])
     assert block.canonical() == canonical_json(line)
 
 
@@ -106,7 +106,6 @@ def test_block_line_round_trips(block):
     line = block.canonical()
     decoded = Block.decode(line)
     assert decoded == block
-    assert decoded.claimed_hash == (block.block_hash if block.claimed_hash is None else block.claimed_hash)
     assert [tx.tx_hash for tx in decoded.transactions] == [hashlib.sha256(tx.canonical()).digest() for tx in block.transactions]
     assert decoded.canonical() == line
 
@@ -162,7 +161,7 @@ def _sample_line(record: str) -> bytes:
     tx = build_and_sign_tx(seeded_key(2), seeded_key(3).address, 22_900_000_000_000_000_000, 7)
     if record == "transaction":
         return tx.canonical()
-    return Block(3, bytes(32), ledger.merkle_root([tx.tx_hash]), 100, (tx,), bytes(96)).canonical()
+    return Block(3, bytes(32), ledger.merkle_root([tx.tx_hash]), 100, (tx,), bytes(96), bytes(32)).canonical()
 
 
 @pytest.mark.parametrize("record, decode", [("transaction", Transaction.decode), ("block", Block.decode)], ids=["transaction", "block"])
@@ -183,7 +182,7 @@ def test_every_substitution_is_refused_or_exact(record, decode):
 
 def _two_tx_line() -> bytes:
     txs = tuple(build_and_sign_tx(seeded_key(2), seeded_key(3).address, 1 + i, i) for i in range(2))
-    return Block(1, bytes(32), ledger.merkle_root([tx.tx_hash for tx in txs]), 7, txs, b"").canonical()
+    return Block(1, bytes(32), ledger.merkle_root([tx.tx_hash for tx in txs]), 7, txs, b"", bytes(32)).canonical()
 
 
 # a list spelling that no single-byte edit of a valid line reaches
@@ -213,10 +212,9 @@ def test_bad_signature_lengths_fail_at_their_height(chain, genesis_config, senso
     genesis = chain.head
     tx = build_and_sign_tx(sensor, bms.address, 1, nonce=0)
     short_tx = Transaction(tx.sender, tx.recipient, tx.value, tx.nonce, tx.gas_limit, tx.gas_price, tx.signature[:-1])
-    unsealed = Block(1, genesis.block_hash, ledger.merkle_root([short_tx.tx_hash]), 7, (short_tx,), b"")
-    sealed = Block(1, genesis.block_hash, unsealed.merkle_root, 7, (short_tx,), sealer.public_bytes + sealer.sign(unsealed.seal_payload()))
-    short_seal = Block(1, genesis.block_hash, ledger.merkle_root([]), 7, (), b"\x01" * 95)
-    for block, cause in ((sealed, ledger.BadSignature), (short_seal, ledger.BadSealerSignature)):
+    short_seal = Block(1, genesis.block_hash, ledger.merkle_root([]), 7, (), b"\x01" * 95, bytes(32))
+    short_seal = replace(short_seal, block_hash=short_seal.header_hash())
+    for block, cause in ((seal_by_hand(genesis, [short_tx], sealer), ledger.BadSignature), (short_seal, ledger.BadSealerSignature)):
         path.write_bytes(genesis.canonical() + b"\n" + block.canonical() + b"\n")
         for audit in (False, True):
             with pytest.raises(ledger.ChainVerificationError) as excinfo:

@@ -71,17 +71,8 @@ def test_fresh_chain_verifies(three_blocks, genesis_config):
 def test_foreign_sealer_rejected(three_blocks, genesis_config, sensor):
     # a block sealed by a non-authority key, even with a valid signature
     blocks = list(three_blocks)
-    unsealed = ledger.Block(
-        height=3,
-        prev_hash=blocks[-1].block_hash,
-        merkle_root=ledger.merkle_root([]),
-        timestamp=300,
-        transactions=(),
-        sealer_signature=b"",
-    )
-    forged = replace(unsealed, sealer_signature=sensor.public_bytes + sensor.sign(unsealed.seal_payload()))
     with pytest.raises(ChainVerificationError) as excinfo:
-        verify_chain(blocks + [forged], genesis_config)
+        verify_chain(blocks + [seal_by_hand(blocks[-1], [], sensor)], genesis_config)
     assert excinfo.value.height == 3
     assert isinstance(excinfo.value.cause, BadSealerSignature)
 
@@ -154,7 +145,7 @@ def test_broken_link_detected(three_blocks, genesis_config):
 
 def test_stored_hash_mismatch_detected(three_blocks, genesis_config):
     blocks = list(three_blocks)
-    blocks[1] = replace(blocks[1], claimed_hash=b"\xbb" * 32)
+    blocks[1] = replace(blocks[1], block_hash=b"\xbb" * 32)
     with pytest.raises(ChainVerificationError) as excinfo:
         verify_chain(blocks, genesis_config)
     assert isinstance(excinfo.value.cause, BlockHashMismatch)
@@ -199,7 +190,7 @@ class TestPersistence:
         _write_chain(path, three_blocks)
         loaded = load_chain(path)
         assert loaded == three_blocks and loaded[-1] == three_block_chain.head
-        assert [b.claimed_hash for b in loaded] == [b.block_hash for b in three_blocks]
+        assert [b.block_hash for b in loaded] == [b.header_hash() for b in three_blocks]
 
     def test_replay_reproduces_identical_accounts(self, three_block_chain, three_blocks, genesis_config, tmp_path):
         path = tmp_path / "chain.jsonl"
@@ -329,7 +320,7 @@ def _tamper_link(blocks, sensor, bms, sealer):
 
 
 def _tamper_stored_hash(blocks, sensor, bms, sealer):
-    blocks[1] = replace(blocks[1], claimed_hash=b"\xbb" * 32)
+    blocks[1] = replace(blocks[1], block_hash=b"\xbb" * 32)
     return 1, BlockHashMismatch
 
 

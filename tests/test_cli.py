@@ -438,6 +438,12 @@ def _bad_genesis(ws, tmp_path):
     return ["--data-dir", tmp_path / "fresh", "--sealer-key", ws["data"] / "sealer.key", "init", "--genesis", genesis]
 
 
+def _nested_sender_key(ws, tmp_path):
+    key = tmp_path / "nested.key"
+    key.write_bytes(b"[" * 100_000 + b"]" * 100_000)
+    return ["--data-dir", ws["data"], "ingest", "--csv", FIXTURE_CSV, "--to", ws["bms"], "--sender-key", key]
+
+
 def _bad_csv(ws, tmp_path):
     rows = tmp_path / "bad.csv"
     rows.write_text("sensor_id,timestamp,temperature_c\ns1,yesterday,22.9\n")
@@ -485,6 +491,7 @@ DOMAIN_ERRORS = {
     "keygen": (lambda ws, _: ["keygen", "--kind", "encryption", "--out", ws["data"] / "sealer.key"], "InvalidKey"),
     "init": (_bad_genesis, "MalformedBlock"),
     "ingest": (_bad_csv, "BadRow"),
+    "ingest, nested key file": (_nested_sender_key, "InvalidKey"),
     "seal": (_foreign_sealer, "BadSealerSignature"),
     "verify": (_tampered, "ChainVerificationError"),
     "explorer": (_spaced, "MalformedBlock"),
@@ -501,6 +508,22 @@ def test_domain_error_is_one_category_line(workspace, tmp_path, command):
     # fails on a traceback
     lines = run(*build(workspace, tmp_path), expect=1).stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"{category}: ")
+
+
+# genesis files that json.loads alone would take
+LOOSE_GENESIS = {
+    "repeated address": lambda address: b'{"%s":"1","%s":"2"}' % (address, address),
+    "nested 100000 deep": lambda address: b"[" * 100_000 + b"]" * 100_000,
+}
+
+
+@pytest.mark.parametrize("content", LOOSE_GENESIS)
+def test_init_refuses_a_genesis_json_loads_would_take(workspace, tmp_path, content):
+    genesis, fresh = tmp_path / "loose-genesis.json", tmp_path / "fresh"
+    genesis.write_bytes(LOOSE_GENESIS[content](workspace["sensor"].encode()))
+    lines = run("--data-dir", fresh, "--sealer-key", workspace["data"] / "sealer.key", "init", "--genesis", genesis, expect=1).stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("MalformedBlock: ")
+    assert not (fresh / "genesis.json").exists() and not (fresh / "chain.jsonl").exists()
 
 
 @pytest.mark.parametrize("missing", [False, True], ids=["directory", "missing"])

@@ -58,6 +58,10 @@ def test_sign_and_verify():
     assert not verify_signature(key.public_bytes, sig, payload + b"!")
     other = seeded_key(8)
     assert not verify_signature(other.public_bytes, sig, payload)
+    for public_key in (b"", key.public_bytes[:-1], key.public_bytes + b"\x00"):
+        assert not verify_signature(public_key, sig, payload)
+    for signature in (b"", sig[:-1], sig + b"\x00"):
+        assert not verify_signature(key.public_bytes, signature, payload)
 
 
 def test_signature_deterministic():

@@ -47,7 +47,7 @@ GENESIS = _genesis()
 
 
 def _block_with(tx: ledger.Transaction) -> ledger.Block:
-    return ledger.Block(1, GENESIS.block_hash, ledger.merkle_root([tx.tx_hash]), 7, (tx,), bytes(96))
+    return ledger.Block(1, GENESIS.block_hash, ledger.merkle_root([tx.tx_hash]), 7, (tx,), bytes(96), ledger.ZERO_HASH)
 
 
 def _load_second_line(tmp_path, block: ledger.Block) -> ledger.Block:
@@ -199,6 +199,8 @@ def test_a_seal_hashes_each_built_transaction_once(chain, sensor, bms, sealer, m
     calls = []
     real = ledger.sha256
     monkeypatch.setattr(ledger, "sha256", lambda data: calls.append(data) or real(data))
-    chain.seal(txs, sealer)
+    block = chain.seal(txs, sealer)
     assert [calls.count(tx.canonical()) for tx in txs] == [1] * 4  # the decoded line's tx_hash
     assert len(calls) == 4 + 2 * 3 + 2  # the lines, 3 Merkle nodes in the seal and in its check, 2 headers
+    headers = [data for data in calls if data.startswith(b'{"height":')]
+    assert headers == [headers[0]] * 2 and real(headers[0]) == block.block_hash  # the sealed header: stored, then checked

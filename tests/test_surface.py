@@ -103,7 +103,6 @@ DEFAULTED_PARAMETERS = [
     ("dagstore", "DagNode", "links", "src/thermoledger/dagstore.py"),
     ("ledger", "Account", "balance", "src/thermoledger/ledger.py"),
     ("ledger", "Account", "nonce", "src/thermoledger/ledger.py"),
-    ("ledger", "Block", "claimed_hash", "src/thermoledger/ledger.py"),
     ("telemetry", "encode_reading", "offset_c", "README.md"),
     ("telemetry", "pump", "offset_c", "perfbench/workloads.py"),
 ]
